@@ -220,6 +220,8 @@ def _verify_payload(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     reports = run_suite(args.suite, grid)
+    if not reports:
+        raise CliError(f"suite {args.suite} checks no identity on this grid")
     failures = [r for r in reports if not r.passed and not r.verdict_only]
     verdict_fails = [r for r in reports if not r.passed and r.verdict_only]
     payload = {
@@ -330,8 +332,11 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
             doc["payload"] = payload
         text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -371,3 +376,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:  # console-script wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,9 +1,16 @@
-"""One checker per stated identity.
+"""One definition per stated identity.
 
-Each checker assembles both sides of an identity as exact polynomials
-over a parameter grid and reports the residual (left minus right).  A
-pass means the residual is the zero polynomial; there is no tolerance
-anywhere.
+Each identity is a left side and a right side, assembled as exact
+polynomials at every point of its parameter axes; the report carries the
+residual (left minus right).  A pass means the residual is the zero
+polynomial; there is no tolerance anywhere.
+
+Vocabulary: ``qconv(q, n, a, b, w)`` = sum_k [n k]_q w(k) a(k) b(n - k),
+the convolution most formulas are built from; a table ``T`` has rows
+``T[n]``, projected rows ``T.x0``, ``T.y0``, ``T.ym1`` (x = 0, y = 0,
+y = -1) and numbers ``T.num``, all built once per run.  ``q = None`` is
+the classical limit (see ``qcore``), so a classical q -> 1 instance of a
+q-identity is that definition at q = None.
 
 A few printed formulas in the source material carry typos.  Corrections
 are data, not silent edits: every corrected identity carries a
@@ -14,20 +21,17 @@ before being frozen here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, Iterator
 
-from .poly import Poly2, X, Y, symbolic_pair_power
+from .poly import Poly2, X, symbolic_pair_power
 from .qcore import QParam, q_binomial, q_number, q_pair_power, gauss_exponent
 from .series import Eq_series, eq_series
 from .qspecial import (
-    FamilySpec,
-    PolyTable,
-    classical_stirling2,
-    falling_binomial,
-    family_table,
-    q_bernstein,
-    q_stirling2,
+    FamilySpec, PolyTable, classical_stirling2, family_table, q_bernstein, q_stirling2,
 )
 
 # The documented typo ledger.  Keys are identity ids; values name the
@@ -39,16 +43,12 @@ CORRECTIONS: dict[str, str] = {
     "omits it; the m = 1 specialization printed later carries the [n k])",
     "c1-2": "summand symbol [n j] read as [n k]; spurious inner m^k before the "
     "first bracket term dropped",
-    "be9": "left-hand index n-1 read as n (matches the monomial expansion drawn "
-    "from it)",
+    "be9": "left-hand index n-1 read as n (matches the monomial expansion drawn from it)",
     "be7-y": "struck-through exponent read as (n-k)(n-k-1)/2",
     "be8-y": "struck-through exponent read as (n-k)(n-k-1)/2",
-    "cw2": "closing term multiplied by [n] (the k = 1 summand it replaces "
-    "carries [n choose 1])",
-    "cw3": "closing term multiplied by [n] (the k = 1 summand it replaces "
-    "carries [n choose 1])",
-    "classical-c2-2": "classical right-hand polynomials read with ordinary "
-    "factorials (E, not E_q)",
+    "cw2": "closing term multiplied by [n] (the k = 1 summand it replaces carries [n choose 1])",
+    "cw3": "closing term multiplied by [n] (the k = 1 summand it replaces carries [n choose 1])",
+    "classical-c2-2": "classical right-hand polynomials read with ordinary factorials (E, not E_q)",
     "bb1": "left side multiplied by [n choose k] (the proof's first chain "
     "produces [n choose k] b_{n,k}; the final display drops the factor)",
 }
@@ -66,17 +66,17 @@ class Grid:
             raise ValueError("n_max must be at least 2")
         if not (self.alpha_set and self.m_set and self.q_set):
             raise ValueError("alpha_set, m_set and q_set must be nonempty")
+        if any(a < 0 for a in self.alpha_set):
+            raise ValueError("alpha values must be nonnegative integers")
         if any(m < 1 for m in self.m_set):
             raise ValueError("m values must be positive integers")
+        if any(len(set(v)) != len(v) for v in (self.alpha_set, self.m_set, self.q_set)):
+            raise ValueError("alpha_set, m_set and q_set must not repeat a value")
 
 
 def default_grid() -> Grid:
-    return Grid(
-        n_max=8,
-        alpha_set=(1, 2, 3),
-        m_set=(1, 2, 3),
-        q_set=(QParam(Fraction(1, 2)), QParam(Fraction(1, 3)), QParam(Fraction(3, 4))),
-    )
+    q_set = tuple(QParam(Fraction(v)) for v in ("1/2", "1/3", "3/4"))
+    return Grid(n_max=8, alpha_set=(1, 2, 3), m_set=(1, 2, 3), q_set=q_set)
 
 
 @dataclass(frozen=True)
@@ -94,757 +94,407 @@ class IdentityReport:
         return (self.identity_id, self.params)
 
 
-def _params(**kw) -> tuple[tuple[str, str], ...]:
-    return tuple((k, str(v)) for k, v in kw.items())
-
-
-def _report(identity_id: str, lhs: Poly2, rhs: Poly2, *, verdict_only=False, **kw) -> IdentityReport:
+def _report(
+    identity_id: str, lhs: Poly2, rhs: Poly2, *, verdict_only=False, **kw
+) -> IdentityReport:
     residual = lhs - rhs
-    return IdentityReport(
-        identity_id=identity_id,
-        params=_params(**kw),
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        passed=residual.is_zero,
-        correction_applied=CORRECTIONS.get(identity_id),
-        verdict_only=verdict_only,
-    )
+    params = tuple((k, str(v)) for k, v in kw.items())
+    return IdentityReport(identity_id, params, lhs, rhs, residual, residual.is_zero,
+                          CORRECTIONS.get(identity_id), verdict_only)
 
 
 class TableCache:
-    """Builds each polynomial table at most once per checker run."""
+    """Builds each polynomial table of one run once, as deep as the run reads."""
 
     def __init__(self, max_n: int):
         self.max_n = max_n
         self._cache: dict[tuple, PolyTable] = {}
 
     def get(self, kind: str, q: QParam | None, alpha: int) -> PolyTable:
-        key = (kind, None if q is None else q.value, alpha)
+        key = (kind, q, alpha)
         if key not in self._cache:
             self._cache[key] = family_table(FamilySpec(kind, alpha, q), self.max_n)
         return self._cache[key]
 
-    def bern(self, q: QParam | None, alpha: int = 1) -> PolyTable:
-        return self.get("q_bernoulli", q, alpha)
 
-    def euler(self, q: QParam | None, alpha: int = 1) -> PolyTable:
-        return self.get("q_euler", q, alpha)
+# -- the convolution and the evaluation point ------------------------
 
-
-def _pair_scalar(q: QParam, m: int, p: int) -> Fraction:
-    """The scalar (1/m + (-1))-pair power appearing in the recurrences."""
-    return q_pair_power(q, Fraction(1, m), Fraction(-1), p)
+BERN, EUL = "q_bernoulli", "q_euler"
+KINDS = {"bern": BERN, "eul": EUL}
 
 
-def _sorted(reports: list[IdentityReport]) -> list[IdentityReport]:
-    return sorted(reports, key=IdentityReport.sort_key)
+def _fn(s) -> Callable:
+    """A sequence or a function, as a function of the index."""
+    return s if callable(s) else s.__getitem__
 
 
-# -- Lemma suites ----------------------------------------------------
+def _one(j: int) -> int:
+    return 1
 
 
-def check_addition(grid: Grid) -> list[IdentityReport]:
-    """Addition theorems and their x/y = 0 and x/y = 1 specializations."""
-    reports = []
-    cache = TableCache(grid.n_max)
-    for q in grid.q_set:
-        for alpha in grid.alpha_set:
-            for kind, tag in (("q_bernoulli", "bern"), ("q_euler", "eul")):
-                t = cache.get(kind, q, alpha)
-                nums = [t[k].evaluate(0, 0) for k in range(grid.n_max + 1)]
-                t_x0 = [t[k].substitute("x", 0) for k in range(grid.n_max + 1)]
-                t_y0 = [t[k].substitute("y", 0) for k in range(grid.n_max + 1)]
-                for n in range(grid.n_max + 1):
-                    common = dict(kind=tag, n=n, alpha=alpha, q=q)
-                    # full addition theorem with the pair power
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        rhs = rhs + q_binomial(q, n, k) * nums[k] * symbolic_pair_power(q, n - k)
-                    reports.append(_report("lemma1-pair", t[n], rhs, **common))
-                    # expansion along y with the triangular weight
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        rhs = rhs + (
-                            q_binomial(q, n, k)
-                            * gauss_exponent(q, n - k)
-                            * t_y0[k]
-                            * Poly2.monomial(0, n - k, 1)
-                        )
-                    eq_id = "be1-y" if tag == "bern" else "be2-y"
-                    reports.append(_report(eq_id, t[n], rhs, **common))
-                    # expansion along x
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        rhs = rhs + q_binomial(q, n, k) * t_x0[k] * Poly2.monomial(n - k, 0, 1)
-                    eq_id = "be1-x" if tag == "bern" else "be2-x"
-                    reports.append(_report(eq_id, t[n], rhs, **common))
-                    # x = 0 / y = 0 number expansions
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        rhs = rhs + q_binomial(q, n, k) * nums[k] * Poly2.monomial(n - k, 0, 1)
-                    eq_id = "be7-x" if tag == "bern" else "be8-x"
-                    reports.append(_report(eq_id, t_y0[n], rhs, **common))
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        rhs = rhs + (
-                            q_binomial(q, n, k)
-                            * gauss_exponent(q, n - k)
-                            * nums[k]
-                            * Poly2.monomial(0, n - k, 1)
-                        )
-                    eq_id = "be7-y" if tag == "bern" else "be8-y"
-                    reports.append(_report(eq_id, t_x0[n], rhs, **common))
-                    # y = 1 / x = 1 specializations
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        rhs = rhs + q_binomial(q, n, k) * gauss_exponent(q, n - k) * t_y0[k]
-                    eq_id = "be3-y1" if tag == "bern" else "be4-y1"
-                    reports.append(_report(eq_id, t[n].substitute("y", 1), rhs, **common))
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        rhs = rhs + q_binomial(q, n, k) * t_x0[k]
-                    eq_id = "be3-x1" if tag == "bern" else "be4-x1"
-                    reports.append(_report(eq_id, t[n].substitute("x", 1), rhs, **common))
-    return _sorted(reports)
+def _x(j: int) -> Poly2:
+    return Poly2.monomial(j, 0)
 
 
-def check_q_derivative(grid: Grid) -> list[IdentityReport]:
-    """Jackson-derivative ladder in each variable."""
-    reports = []
-    cache = TableCache(grid.n_max)
-    for q in grid.q_set:
-        for alpha in grid.alpha_set:
-            for kind, tag in (("q_bernoulli", "bern"), ("q_euler", "eul")):
-                t = cache.get(kind, q, alpha)
-                for n in range(1, grid.n_max + 1):
-                    common = dict(kind=tag, n=n, alpha=alpha, q=q)
-                    lhs = t[n].jackson("x", q)
-                    rhs = q_number(q, n) * t[n - 1]
-                    reports.append(_report(f"lemma2-{tag}-x", lhs, rhs, **common))
-                    lhs = t[n].jackson("y", q)
-                    rhs = q_number(q, n) * t[n - 1].scale_var("y", q.value)
-                    reports.append(_report(f"lemma2-{tag}-y", lhs, rhs, **common))
-    return _sorted(reports)
+def qconv(q: QParam | None, n: int, a, b, w: Callable = _one) -> Poly2:
+    """sum_k [n k]_q w(k) a(k) b(n - k); a and b are sequences or functions
+    of polynomials or scalars, and terms of zero weight are skipped."""
+    a, b = _fn(a), _fn(b)
+    return Poly2.linear_combination(
+        (c, a(k), b(n - k)) for k in range(n + 1) if (c := q_binomial(q, n, k) * w(k))
+    )
 
 
-def check_difference(grid: Grid) -> list[IdentityReport]:
-    """Difference equations linking order alpha to order alpha - 1."""
-    reports = []
-    cache = TableCache(grid.n_max)
-    for q in grid.q_set:
-        for alpha in (a for a in grid.alpha_set if a >= 1):
-            tb = cache.bern(q, alpha)
-            tb1 = cache.bern(q, alpha - 1)
-            te = cache.euler(q, alpha)
-            te1 = cache.euler(q, alpha - 1)
-            for n in range(grid.n_max + 1):
-                common = dict(n=n, alpha=alpha, q=q)
-                lhs = tb[n].substitute("x", 1) - tb[n].substitute("x", 0)
-                rhs = (
-                    q_number(q, n) * tb1[n - 1].substitute("x", 0)
-                    if n >= 1
-                    else Poly2.zero()
-                )
-                reports.append(_report("be5", lhs, rhs, **common))
-                lhs = te[n].substitute("x", 1) + te[n].substitute("x", 0)
-                reports.append(_report("be6", lhs, 2 * te1[n].substitute("x", 0), **common))
-                lhs = tb[n].substitute("y", 0) - tb[n].substitute("y", -1)
-                rhs = (
-                    q_number(q, n) * tb1[n - 1].substitute("y", -1)
-                    if n >= 1
-                    else Poly2.zero()
-                )
-                reports.append(_report("be5-x", lhs, rhs, **common))
-                lhs = te[n].substitute("y", 0) + te[n].substitute("y", -1)
-                reports.append(_report("be6-x", lhs, 2 * te1[n].substitute("y", -1), **common))
-    return _sorted(reports)
+class Point:
+    """One parameter tuple of an identity and the tables its formulas read.
 
-
-def check_inversion(grid: Grid) -> list[IdentityReport]:
-    """Order-lowering expansions, the monomial expansions, and their
-    classical counterparts."""
-    reports = []
-    cache = TableCache(grid.n_max + 1)
-    cb = cache.bern(None)
-    ce = cache.euler(None)
-    for q in grid.q_set:
-        for alpha in (a for a in grid.alpha_set if a >= 1):
-            tb = cache.bern(q, alpha)
-            tb1 = cache.bern(q, alpha - 1)
-            te = cache.euler(q, alpha)
-            te1 = cache.euler(q, alpha - 1)
-            for n in range(grid.n_max + 1):
-                common = dict(n=n, alpha=alpha, q=q)
-                rhs = Poly2.zero()
-                for k in range(n + 1):
-                    rhs = rhs + q_binomial(q, n + 1, k) * tb[k].substitute("x", 0)
-                rhs = rhs * (1 / q_number(q, n + 1))
-                reports.append(_report("be9", tb1[n].substitute("x", 0), rhs, **common))
-                rhs = te[n].substitute("x", 0)
-                for k in range(n + 1):
-                    rhs = rhs + q_binomial(q, n, k) * te[k].substitute("x", 0)
-                reports.append(
-                    _report("be10", te1[n].substitute("x", 0), rhs * Fraction(1, 2), **common)
-                )
-        # monomial expansions (first order)
-        tb = cache.bern(q, 1)
-        te = cache.euler(q, 1)
-        for n in range(grid.n_max + 1):
-            common = dict(n=n, q=q)
-            rhs = Poly2.zero()
-            for k in range(n + 1):
-                rhs = rhs + q_binomial(q, n + 1, k) * tb[k].substitute("x", 0)
-            rhs = rhs * (1 / (gauss_exponent(q, n) * q_number(q, n + 1)))
-            reports.append(_report("monomial-bern", Poly2.monomial(0, n, 1), rhs, **common))
-            rhs = te[n].substitute("x", 0)
-            for k in range(n + 1):
-                rhs = rhs + q_binomial(q, n, k) * te[k].substitute("x", 0)
-            rhs = rhs * (Fraction(1, 2) / gauss_exponent(q, n))
-            reports.append(_report("monomial-eul", Poly2.monomial(0, n, 1), rhs, **common))
-    # classical monomial expansions
-    for n in range(grid.n_max + 1):
-        rhs = Poly2.zero()
-        for k in range(n + 1):
-            rhs = rhs + falling_binomial(n + 1, k) * cb[k].substitute("x", 0)
-        rhs = rhs * Fraction(1, n + 1)
-        reports.append(_report("cl1-bern", Poly2.monomial(0, n, 1), rhs, n=n))
-        rhs = ce[n].substitute("x", 0)
-        for k in range(n + 1):
-            rhs = rhs + falling_binomial(n, k) * ce[k].substitute("x", 0)
-        reports.append(
-            _report("cl1-eul", Poly2.monomial(0, n, 1), rhs * Fraction(1, 2), n=n)
-        )
-    return _sorted(reports)
-
-
-def check_recurrence(grid: Grid) -> list[IdentityReport]:
-    """The four recurrence relationships with the scaling modulus m."""
-    reports = []
-    cache = TableCache(grid.n_max)
-    for q in grid.q_set:
-        for alpha in (a for a in grid.alpha_set if a >= 1):
-            tb = cache.bern(q, alpha)
-            tb1 = cache.bern(q, alpha - 1)
-            te = cache.euler(q, alpha)
-            te1 = cache.euler(q, alpha - 1)
-            for m in grid.m_set:
-                for k in range(grid.n_max + 1):
-                    common = dict(k=k, alpha=alpha, m=m, q=q)
-                    mf = Fraction(m)
-                    # x-side, integer weights m^j
-                    lhs = Poly2.zero()
-                    rhs = Poly2.zero()
-                    for j in range(k + 1):
-                        w = q_binomial(q, k, j) * mf ** j
-                        lhs = lhs + w * (tb[j].substitute("y", 0) - tb[j].substitute("y", -1))
-                    for j in range(k):
-                        rhs = rhs + (
-                            q_binomial(q, k - 1, j) * mf ** (j + 1) * tb1[j].substitute("y", -1)
-                        )
-                    reports.append(_report("be11", lhs, q_number(q, k) * rhs, **common))
-                    # y-side, pair-power weights
-                    lhs = tb[k].substitute("x", Fraction(1, m))
-                    rhs = Poly2.zero()
-                    for j in range(k + 1):
-                        lhs = lhs - (
-                            q_binomial(q, k, j) * _pair_scalar(q, m, k - j) * tb[j].substitute("x", 0)
-                        )
-                    for j in range(k):
-                        rhs = rhs + (
-                            q_binomial(q, k - 1, j)
-                            * _pair_scalar(q, m, k - 1 - j)
-                            * tb1[j].substitute("x", 0)
-                        )
-                    reports.append(_report("be11-1", lhs, q_number(q, k) * rhs, **common))
-                    # Euler analogues
-                    lhs = Poly2.zero()
-                    rhs = Poly2.zero()
-                    for j in range(k + 1):
-                        w = q_binomial(q, k, j) * mf ** j
-                        lhs = lhs + w * (te[j].substitute("y", 0) + te[j].substitute("y", -1))
-                        rhs = rhs + w * te1[j].substitute("y", -1)
-                    reports.append(_report("be12", lhs, 2 * rhs, **common))
-                    lhs = te[k].substitute("x", Fraction(1, m))
-                    rhs = Poly2.zero()
-                    for j in range(k + 1):
-                        w = q_binomial(q, k, j) * _pair_scalar(q, m, k - j)
-                        lhs = lhs + w * te[j].substitute("x", 0)
-                        rhs = rhs + w * te1[j].substitute("x", 0)
-                    reports.append(_report("be12-1", lhs, 2 * rhs, **common))
-    return _sorted(reports)
-
-
-# -- main theorems ---------------------------------------------------
-
-
-def check_sp1(grid: Grid) -> list[IdentityReport]:
-    """Both displays of the Bernoulli-through-Euler addition theorem."""
-    reports = []
-    cache = TableCache(grid.n_max)
-    for q in grid.q_set:
-        te1 = cache.euler(q, 1)
-        for alpha in (a for a in grid.alpha_set if a >= 1):
-            tb = cache.bern(q, alpha)
-            tbm1 = cache.bern(q, alpha - 1)
-            tb_y0 = [p.substitute("y", 0) for p in tb.entries]
-            tb_ym1 = [p.substitute("y", -1) for p in tb.entries]
-            tbm1_ym1 = [p.substitute("y", -1) for p in tbm1.entries]
-            tb_x0 = [p.substitute("x", 0) for p in tb.entries]
-            tbm1_x0 = [p.substitute("x", 0) for p in tbm1.entries]
-            for m in grid.m_set:
-                mf = Fraction(m)
-                eul_0my = [
-                    te1[i].substitute("x", 0).scale_var("y", m)
-                    for i in range(grid.n_max + 1)
-                ]
-                eul_mx0 = [
-                    te1[i].substitute("y", 0).scale_var("x", m)
-                    for i in range(grid.n_max + 1)
-                ]
-                for n in range(grid.n_max + 1):
-                    common = dict(n=n, alpha=alpha, m=m, q=q)
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        bracket = mf ** k * tb_y0[k]
-                        for j in range(k + 1):
-                            bracket = bracket + q_binomial(q, k, j) * mf ** j * tb_ym1[j]
-                        inner = Poly2.zero()
-                        for j in range(k):
-                            inner = inner + (
-                                q_binomial(q, k - 1, j) * mf ** (j + 1) * tbm1_ym1[j]
-                            )
-                        bracket = bracket + q_number(q, k) * inner
-                        rhs = rhs + q_binomial(q, n, k) * bracket * eul_0my[n - k]
-                    rhs = rhs * (Fraction(1, 2) / mf ** n)
-                    reports.append(_report("sp1-1", tb[n], rhs, **common))
-
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        bracket = tb_x0[k]
-                        for j in range(k + 1):
-                            bracket = bracket + (
-                                q_binomial(q, k, j) * _pair_scalar(q, m, k - j) * tb_x0[j]
-                            )
-                        inner = Poly2.zero()
-                        for j in range(k):
-                            inner = inner + (
-                                q_binomial(q, k - 1, j)
-                                * _pair_scalar(q, m, k - 1 - j)
-                                * tbm1_x0[j]
-                            )
-                        bracket = bracket + q_number(q, k) * inner
-                        rhs = rhs + q_binomial(q, n, k) * mf ** k * bracket * eul_mx0[n - k]
-                    rhs = rhs * (Fraction(1, 2) / mf ** n)
-                    reports.append(_report("sp1-2", tb[n], rhs, **common))
-    return _sorted(reports)
-
-
-def check_sp2(grid: Grid) -> list[IdentityReport]:
-    """Both displays of the Euler-through-Bernoulli addition theorem."""
-    reports = []
-    cache = TableCache(grid.n_max + 1)  # the brackets reach index k + 1
-    for q in grid.q_set:
-        tb1 = cache.bern(q, 1)
-        for alpha in (a for a in grid.alpha_set if a >= 1):
-            te = cache.euler(q, alpha)
-            tem1 = cache.euler(q, alpha - 1)
-            te_x0 = [p.substitute("x", 0) for p in te.entries]
-            tem1_x0 = [p.substitute("x", 0) for p in tem1.entries]
-            te_y0 = [p.substitute("y", 0) for p in te.entries]
-            te_ym1 = [p.substitute("y", -1) for p in te.entries]
-            tem1_ym1 = [p.substitute("y", -1) for p in tem1.entries]
-            for m in grid.m_set:
-                mf = Fraction(m)
-                bern_mx0 = [
-                    tb1[i].substitute("y", 0).scale_var("x", m)
-                    for i in range(grid.n_max + 1)
-                ]
-                bern_0my = [
-                    tb1[i].substitute("x", 0).scale_var("y", m)
-                    for i in range(grid.n_max + 1)
-                ]
-                for n in range(grid.n_max + 1):
-                    common = dict(n=n, alpha=alpha, m=m, q=q)
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        bracket = -te_x0[k + 1]
-                        for j in range(k + 2):
-                            w = q_binomial(q, k + 1, j) * _pair_scalar(q, m, k + 1 - j)
-                            bracket = bracket + w * (2 * tem1_x0[j] - te_x0[j])
-                        rhs = rhs + (
-                            q_binomial(q, n, k)
-                            * (mf ** k / (mf ** (n - 1) * q_number(q, k + 1)))
-                            * bracket
-                            * bern_mx0[n - k]
-                        )
-                    reports.append(_report("sp2-1", te[n], rhs, **common))
-
-                    rhs = Poly2.zero()
-                    for k in range(n + 1):
-                        bracket = -(mf ** (k + 1)) * te_y0[k + 1]
-                        for j in range(k + 2):
-                            w = q_binomial(q, k + 1, j) * mf ** j
-                            bracket = bracket + w * (2 * tem1_ym1[j] - te_ym1[j])
-                        rhs = rhs + (
-                            q_binomial(q, n, k)
-                            * (Fraction(1) / (mf ** n * q_number(q, k + 1)))
-                            * bracket
-                            * bern_0my[n - k]
-                        )
-                    reports.append(_report("sp2-2", te[n], rhs, **common))
-    return _sorted(reports)
-
-
-# -- corollaries -----------------------------------------------------
-
-
-def check_corollaries(grid: Grid) -> list[IdentityReport]:
-    reports = []
-    cache = TableCache(grid.n_max + 1)
-    for q in grid.q_set:
-        tb = cache.bern(q, 1)
-        te = cache.euler(q, 1)
-        bnum = [p.evaluate(0, 0) for p in tb.entries]
-        enum_ = [p.evaluate(0, 0) for p in te.entries]
-        tb_x0 = [p.substitute("x", 0) for p in tb.entries]
-        tb_y0 = [p.substitute("y", 0) for p in tb.entries]
-        te_x0 = [p.substitute("x", 0) for p in te.entries]
-        te_y0 = [p.substitute("y", 0) for p in te.entries]
-        te_ym1 = [p.substitute("y", -1) for p in te.entries]
-        for n in range(grid.n_max + 1):
-            common = dict(n=n, q=q)
-            # first-order specializations of the main theorems, with the
-            # order-zero polynomials written out as pair powers
-            for m in grid.m_set:
-                mf = Fraction(m)
-                cm = dict(n=n, m=m, q=q)
-                rhs = Poly2.zero()
-                for k in range(n + 1):
-                    bracket = mf ** k * tb_y0[k]
-                    for j in range(k + 1):
-                        bracket = bracket + q_binomial(q, k, j) * mf ** j * tb[j].substitute("y", -1)
-                    inner = Poly2.zero()
-                    for j in range(k):
-                        xm1 = symbolic_pair_power(q, j).substitute("y", -1)
-                        inner = inner + q_binomial(q, k - 1, j) * mf ** (j + 1) * xm1
-                    bracket = bracket + q_number(q, k) * inner
-                    rhs = rhs + (
-                        q_binomial(q, n, k)
-                        * bracket
-                        * te_x0[n - k].scale_var("y", m)
-                    )
-                rhs = rhs * (Fraction(1, 2) / mf ** n)
-                reports.append(_report("c1-1", tb[n], rhs, **cm))
-
-                rhs = Poly2.zero()
-                for k in range(n + 1):
-                    bracket = tb_x0[k]
-                    for j in range(k + 1):
-                        bracket = bracket + (
-                            q_binomial(q, k, j) * _pair_scalar(q, m, k - j) * tb_x0[j]
-                        )
-                    inner = Poly2.zero()
-                    for j in range(k):
-                        # q^{j(j-1)/2} y^j is the order-zero polynomial at (0, y)
-                        inner = inner + (
-                            q_binomial(q, k - 1, j)
-                            * gauss_exponent(q, j)
-                            * _pair_scalar(q, m, k - 1 - j)
-                            * Poly2.monomial(0, j, 1)
-                        )
-                    bracket = bracket + q_number(q, k) * inner
-                    rhs = rhs + (
-                        q_binomial(q, n, k) * mf ** k * bracket * te_y0[n - k].scale_var("x", m)
-                    )
-                rhs = rhs * (Fraction(1, 2) / mf ** n)
-                reports.append(_report("c1-2", tb[n], rhs, **cm))
-
-                rhs = Poly2.zero()
-                for k in range(n + 1):
-                    bracket = -(mf ** (k + 1)) * te_y0[k + 1]
-                    for j in range(k + 2):
-                        xm1 = symbolic_pair_power(q, j).substitute("y", -1)
-                        bracket = bracket + (
-                            q_binomial(q, k + 1, j) * mf ** j * (2 * xm1 - te_ym1[j])
-                        )
-                    rhs = rhs + (
-                        q_binomial(q, n, k)
-                        * (Fraction(1) / (mf ** n * q_number(q, k + 1)))
-                        * bracket
-                        * tb_x0[n - k].scale_var("y", m)
-                    )
-                reports.append(_report("euler-c1", te[n], rhs, **cm))
-
-            # Cheon-type expansion
-            rhs = Poly2.zero()
-            for k in range(n + 1):
-                bracket = tb_x0[k]
-                if k >= 1:
-                    bracket = bracket + (
-                        gauss_exponent(q, k - 1)  # q^{(k-1)(k-2)/2}
-                        * q_number(q, k)
-                        * Fraction(1, 2)
-                        * Poly2.monomial(0, k - 1, 1)
-                    )
-                rhs = rhs + q_binomial(q, n, k) * bracket * te_y0[n - k]
-            reports.append(_report("cw1", tb[n], rhs, **common))
-
-            # number-form Cheon expansions, with the k = 1 term pulled out
-            for eq_id, series in (("cw2", tb_y0), ("cw3", tb_x0)):
-                proj = (lambda p: p.substitute("x", 0)) if eq_id == "cw3" else (
-                    lambda p: p.substitute("y", 0)
-                )
-                epoly = [proj(p) for p in te.entries]
-                rhs = Poly2.zero()
-                for k in range(n + 1):
-                    if k == 1:
-                        continue
-                    rhs = rhs + q_binomial(q, n, k) * bnum[k] * epoly[n - k]
-                if n >= 1:
-                    rhs = rhs + (
-                        q_number(q, n) * (bnum[1] + Fraction(1, 2)) * epoly[n - 1]
-                    )
-                reports.append(_report(eq_id, series[n], rhs, **common))
-
-            # Euler-through-Bernoulli expansions
-            rhs = Poly2.zero()
-            for k in range(n + 1):
-                weight = 2 * q_binomial(q, n, k) / q_number(q, k + 1)
-                head = q.power((k * (k + 1)) // 2) * Poly2.monomial(0, k + 1, 1) - te_x0[k + 1]
-                rhs = rhs + weight * head * tb_y0[n - k]
-            reports.append(_report("euler-c3", te[n], rhs, **common))
-
-            for eq_id, proj in (
-                ("euler-c4-x", lambda p: p.substitute("y", 0)),
-                ("euler-c4-y", lambda p: p.substitute("x", 0)),
-            ):
-                rhs = Poly2.zero()
-                for k in range(n + 1):
-                    rhs = rhs - (
-                        2 * q_binomial(q, n, k) / q_number(q, k + 1)
-                        * enum_[k + 1]
-                        * proj(tb[n - k])
-                    )
-                reports.append(_report(eq_id, proj(te[n]), rhs, **common))
-
-    # classical corollaries
-    cb = cache.bern(None)
-    ce = cache.euler(None)
-    cb_x0 = [p.substitute("x", 0) for p in cb.entries]  # B_k(y)
-    cb_y0 = [p.substitute("y", 0) for p in cb.entries]  # B_k(x)
-    ce_y0 = [p.substitute("y", 0) for p in ce.entries]  # E_k(x)
-    ce_x0 = [p.substitute("x", 0) for p in ce.entries]  # E_k(y)
-    for n in range(grid.n_max + 1):
-        rhs = Poly2.zero()
-        for k in range(n + 1):
-            bracket = cb_x0[k]
-            if k >= 1:
-                bracket = bracket + Fraction(k, 2) * Poly2.monomial(0, k - 1, 1)
-            rhs = rhs + falling_binomial(n, k) * bracket * ce_y0[n - k]
-        reports.append(_report("classical-c2-1", cb[n], rhs, n=n))
-
-        rhs = Poly2.zero()
-        for k in range(n + 1):
-            rhs = rhs + (
-                falling_binomial(n, k)
-                * Fraction(2, k + 1)
-                * (Poly2.monomial(0, k + 1, 1) - ce_x0[k + 1])
-                * cb_y0[n - k]
-            )
-        reports.append(_report("classical-euler-c2-1", ce[n], rhs, n=n))
-
-        for m in (mm for mm in grid.m_set):
-            mf = Fraction(m)
-            rhs = Poly2.zero()
-            for k in range(n + 1):
-                shifted = cb[k].substitute("y", Fraction(1, m) - 1)  # B_k(x - 1 + 1/m)
-                bracket = mf ** k * cb_y0[k] + mf ** k * shifted
-                if k >= 1:
-                    bracket = bracket + (
-                        k * mf * (Poly2.const(1 - m) + m * X) ** (k - 1)
-                    )
-                rhs = rhs + (
-                    falling_binomial(n, k) * bracket * ce_x0[n - k].scale_var("y", m)
-                )
-            rhs = rhs * (Fraction(1, 2) / mf ** n)
-            reports.append(_report("classical-c2-2", cb[n], rhs, n=n, m=m))
-
-            rhs = Poly2.zero()
-            s = Fraction(1 - m, m)
-            for k in range(n + 1):
-                shifted = ce[k + 1].substitute("y", s)  # E_{k+1}(x + (1-m)/m)
-                bracket = 2 * (X + Poly2.const(s)) ** (k + 1) - shifted - ce_y0[k + 1]
-                rhs = rhs + (
-                    falling_binomial(n, k)
-                    * (mf ** (k - n + 1) / (k + 1))
-                    * bracket
-                    * cb_x0[n - k].scale_var("y", m)
-                )
-            reports.append(_report("classical-euler-c2-2", ce[n], rhs, n=n, m=m))
-    return _sorted(reports)
-
-
-# -- section 4 -------------------------------------------------------
-
-
-def check_stirling_theorem(grid: Grid) -> list[IdentityReport]:
-    """The unproven mixed classical-Stirling expansion.
-
-    Both sides are polynomials in x of degree at most n once y is kept
-    symbolic; evaluating at the n + 2 points x = r/m (r = 0..n+1), where
-    the binomial upper argument mx is a nonnegative integer, certifies
-    or refutes the polynomial identity.  These reports record a verdict
-    and never gate a verification run.
+    B, E are the Bernoulli and Euler tables of order alpha (1 when the
+    identity has no alpha axis), Bm, Em those of order alpha - 1, B1, E1
+    those of order 1, and T the table of the point's kind.
     """
-    reports = []
-    cache = TableCache(grid.n_max)
-    for q in grid.q_set:
-        for alpha in (a for a in grid.alpha_set if a >= 1):
-            for kind, tag in (("q_bernoulli", "bern"), ("q_euler", "eul")):
-                t = cache.get(kind, q, alpha)
-                t_x0 = [p.substitute("x", 0) for p in t.entries]
-                for m in grid.m_set:
-                    mf = Fraction(m)
-                    for n in range(grid.n_max + 1):
-                        residual_points = []
-                        lhs_all = Poly2.zero()
-                        rhs_all = Poly2.zero()
-                        for r in range(n + 2):
-                            x0 = Fraction(r, m)
-                            lhs = t[n].substitute("x", x0)
-                            rhs = Poly2.zero()
-                            for j in range(n + 1):
-                                cmx = falling_binomial(mf * x0, j)
-                                if not cmx:
-                                    continue
-                                inner = Poly2.zero()
-                                for k in range(n - j + 1):
-                                    inner = inner + (
-                                        q_binomial(q, n, k)
-                                        * classical_stirling2(n - k, j)
-                                        * t_x0[k]
-                                    )
-                                rhs = rhs + cmx * _fact(j) * mf ** (j - n) * inner
-                            # aggregate the per-point residuals into one
-                            # polynomial, tagging each point by x-degree r
-                            lhs_all = lhs_all + lhs * Poly2.monomial(r, 0, 1)
-                            rhs_all = rhs_all + rhs * Poly2.monomial(r, 0, 1)
-                        reports.append(
-                            _report(
-                                f"stirling-{tag}",
-                                lhs_all,
-                                rhs_all,
-                                verdict_only=True,
-                                kind=tag,
-                                n=n,
-                                alpha=alpha,
-                                m=m,
-                                q=q,
-                            )
-                        )
-    return _sorted(reports)
+
+    q: QParam | None = None
+    alpha = 1
+
+    def __init__(self, cache: TableCache, **params):
+        self.cache = cache
+        self.__dict__.update(params)
+
+    def table(self, kind: str, alpha: int) -> PolyTable:
+        return self.cache.get(kind, self.q, alpha)
+
+    B = cached_property(lambda c: c.table(BERN, c.alpha))
+    E = cached_property(lambda c: c.table(EUL, c.alpha))
+    Bm = cached_property(lambda c: c.table(BERN, c.alpha - 1))
+    Em = cached_property(lambda c: c.table(EUL, c.alpha - 1))
+    B1 = cached_property(lambda c: c.table(BERN, 1))
+    E1 = cached_property(lambda c: c.table(EUL, 1))
+    T = cached_property(lambda c: c.table(KINDS[c.kind], c.alpha))
+
+    def ey(self, j: int) -> Poly2:
+        """q^{j(j-1)/2} y^j: the order-zero polynomial at x = 0."""
+        return Poly2.monomial(0, j, gauss_exponent(self.q, j))
+
+    def pair(self, j: int) -> Poly2:
+        """The q-analogue of (x + y)^j: the order-zero polynomial."""
+        return symbolic_pair_power(self.q, j)
+
+    def pair_ym1(self, j: int) -> Poly2:
+        return self.pair(j).substitute("y", -1)
+
+    def P(self, p: int) -> Fraction:
+        """The scalar (1/m + (-1))-pair power of the recurrences."""
+        return q_pair_power(self.q, Fraction(1, self.m), Fraction(-1), p)
+
+    def ysum(self, k: int, s) -> Poly2:
+        """sum_j [k j] m^j s(j)."""
+        return qconv(self.q, k, s, _one, lambda j: self.m ** j)
+
+    def xsum(self, k: int, s) -> Poly2:
+        """sum_j [k j] P(k - j) s(j)."""
+        return qconv(self.q, k, s, self.P)
+
+    def down(self, s) -> Poly2:
+        """[n] s(n - 1), zero at n = 0."""
+        return q_number(self.q, self.n) * _fn(s)(self.n - 1) if self.n else Poly2.zero()
 
 
-def _fact(j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(2, j + 1):
-        out *= i
-    return out
+# -- the shared brackets ---------------------------------------------
 
 
-def check_bernstein(grid: Grid) -> list[IdentityReport]:
-    """Bernstein-basis expansion through q-Stirling numbers."""
-    reports = []
-    for q in grid.q_set:
-        tables = {
-            k: family_table(FamilySpec("q_bernoulli", k, q), grid.n_max)
-            for k in range(grid.n_max + 1)
-        }
-        stirlings = {
-            (mdx, k): q_stirling2(q, mdx, k)
-            for k in range(grid.n_max + 1)
-            for mdx in range(grid.n_max + 1)
-        }
-        for n in range(grid.n_max + 1):
-            for k in range(n + 1):
-                lhs = q_binomial(q, n, k) * q_bernstein(q, n, k)
-                t = tables[k]
-                rhs = Poly2.zero()
-                for mi in range(n + 1):
-                    s = stirlings[(mi, k)]
-                    if not s:
-                        continue
-                    b = t[n - mi].substitute("x", 1).compose("y", -X)
-                    rhs = rhs + q_binomial(q, n, mi) * s * b
-                rhs = Poly2.monomial(k, 0, 1) * rhs
-                reports.append(_report("bb1", lhs, rhs, n=n, k=k, q=q))
-    return _sorted(reports)
+def _sp1_y(c: Point, lower) -> Poly2:
+    """sp1-1, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
+    B, E1, m = c.B, c.E1, c.m
+
+    def bracket(k):
+        return m ** k * B.y0[k] + c.ysum(k, B.ym1) + m * q_number(c.q, k) * c.ysum(k - 1, lower)
+
+    rhs = qconv(c.q, c.n, bracket, lambda i: E1.x0[i].scale_var("y", m))
+    return rhs * Fraction(1, 2 * m ** c.n)
 
 
-def check_alpha_zero(grid: Grid) -> list[IdentityReport]:
-    """Order-zero tables collapse to the symbolic pair power."""
-    reports = []
-    cache = TableCache(max(grid.n_max, 10))
-    for q in grid.q_set:
-        for kind, tag in (("q_bernoulli", "bern"), ("q_euler", "eul")):
-            t = cache.get(kind, q, 0)
-            for n in range(cache.max_n + 1):
-                rhs = symbolic_pair_power(q, n)
-                reports.append(_report(f"alpha0-{tag}", t[n], rhs, n=n, q=q))
-                reports.append(
-                    _report(
-                        f"alpha0-{tag}-y",
-                        t[n].substitute("x", 0),
-                        gauss_exponent(q, n) * Poly2.monomial(0, n, 1),
-                        n=n,
-                        q=q,
-                    )
-                )
-    return _sorted(reports)
+def _sp1_x(c: Point, lower) -> Poly2:
+    """sp1-2, with the order-(alpha - 1) polynomials at x = 0 as ``lower``."""
+    B, E1, m = c.B, c.E1, c.m
+
+    def bracket(k):
+        return B.x0[k] + c.xsum(k, B.x0) + q_number(c.q, k) * c.xsum(k - 1, lower)
+
+    rhs = qconv(c.q, c.n, bracket, lambda i: E1.y0[i].scale_var("x", m), lambda k: m ** k)
+    return rhs * Fraction(1, 2 * m ** c.n)
+
+
+def _sp2_y(c: Point, lower) -> Poly2:
+    """sp2-2, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
+    E, B1, m, low = c.E, c.B1, c.m, _fn(lower)
+
+    def bracket(k):
+        return c.ysum(k + 1, lambda j: 2 * low(j) - E.ym1[j]) - m ** (k + 1) * E.y0[k + 1]
+
+    return qconv(c.q, c.n, bracket, lambda i: B1.x0[i].scale_var("y", m),
+                 lambda k: 1 / (Fraction(m) ** c.n * q_number(c.q, k + 1)))
+
+
+def _sp2_x(c: Point) -> Poly2:
+    E, Em, B1, m = c.E, c.Em, c.B1, Fraction(c.m)
+
+    def bracket(k):
+        return c.xsum(k + 1, lambda j: 2 * Em.x0[j] - E.x0[j]) - E.x0[k + 1]
+
+    return qconv(c.q, c.n, bracket, lambda i: B1.y0[i].scale_var("x", m),
+                 lambda k: m ** (k - c.n + 1) / q_number(c.q, k + 1))
+
+
+def _be9(c: Point) -> Poly2:
+    """sum_{k <= n} [n+1 k] B_k(0, y) / [n + 1]."""
+    return qconv(c.q, c.n + 1, c.B.x0, _one, lambda k: k <= c.n) * (1 / q_number(c.q, c.n + 1))
+
+
+def _be10(c: Point) -> Poly2:
+    """(E_n(0, y) + sum_k [n k] E_k(0, y)) / 2."""
+    return (c.E.x0[c.n] + qconv(c.q, c.n, c.E.x0, _one)) * Fraction(1, 2)
+
+
+def _cw(c: Point, e) -> Poly2:
+    """sum_k [n k] b_k e(n - k), with the k = 1 number raised by 1/2."""
+    return qconv(c.q, c.n, lambda k: c.B.num[k] + (Fraction(1, 2) if k == 1 else 0), e)
+
+
+def _euler_c4(c: Point, b) -> Poly2:
+    """-sum_k 2 [n k] / [k + 1] e_{k+1} b(n - k)."""
+    return qconv(c.q, c.n, lambda k: c.E.num[k + 1], b, lambda k: -2 / q_number(c.q, k + 1))
+
+
+def _stirling_rhs(c: Point) -> Poly2:
+    """sum_r x^r sum_j r!/(r-j)! m^{j-n} sum_k [n k] S(n-k, j) T_k(0, y)."""
+    n, m = c.n, Fraction(c.m)
+    inner = [qconv(c.q, n, c.T.x0, lambda i: classical_stirling2(i, j)) for j in range(n + 1)]
+    return Poly2.linear_combination((math.perm(r, j) * m ** (j - n), inner[j], _x(r))
+                                    for r in range(n + 2) for j in range(n + 1))
+
+
+def _classical_c2_2(c: Point) -> Poly2:
+    B, E, m = c.B, c.E, c.m
+
+    def bracket(k):
+        # m^k (B_k(x) + B_k(x - 1 + 1/m)) + k m (1 - m + m x)^{k-1}
+        out = m ** k * (B.y0[k] + B[k].substitute("y", Fraction(1, m) - 1))
+        return out + k * m * (Poly2.const(1 - m) + m * X) ** (k - 1) if k else out
+
+    rhs = qconv(None, c.n, bracket, lambda i: E.x0[i].scale_var("y", m))
+    return rhs * Fraction(1, 2 * m ** c.n)
+
+
+def _classical_euler_c2_2(c: Point) -> Poly2:
+    B, E, m = c.B, c.E, Fraction(c.m)
+    s = (1 - m) / m
+
+    def bracket(k):
+        # 2 (x + s)^{k+1} - E_{k+1}(x + s) - E_{k+1}(x)
+        return 2 * (X + s) ** (k + 1) - E[k + 1].substitute("y", s) - E.y0[k + 1]
+
+    return qconv(None, c.n, bracket, lambda i: B.x0[i].scale_var("y", m),
+                 lambda k: m ** (k - c.n + 1) / (k + 1))
+
+
+# -- identity definitions and suites ---------------------------------
+
+# An axis is (report key, values given the grid and the values bound so far).
+KIND = ("kind", lambda g, p: tuple(KINDS))
+N = ("n", lambda g, p: range(g.n_max + 1))
+N1 = ("n", lambda g, p: range(1, g.n_max + 1))
+N10 = ("n", lambda g, p: range(max(g.n_max, 10) + 1))
+K = ("k", N[1])
+K_N = ("k", lambda g, p: range(p["n"] + 1))
+ALPHA = ("alpha", lambda g, p: [a for a in g.alpha_set if a >= 1])
+ALPHA0 = ("alpha", lambda g, p: g.alpha_set)
+M = ("m", lambda g, p: g.m_set)
+Q = ("q", lambda g, p: g.q_set)
+
+
+@dataclass(frozen=True)
+class Identity:
+    id: str | tuple[str, str]  # a (Bernoulli, Euler) pair along a kind axis
+    axes: tuple[tuple[str, Callable], ...]  # in report parameter order
+    lhs: Callable[[Point], Poly2]
+    rhs: Callable[[Point], Poly2]
+    classical: str | None = None  # id of the q = None instance
+
+    def points(self, grid: Grid) -> Iterator[tuple[str, dict]]:
+        """(report id, parameters) at every point, then at every classical point."""
+        yield from ((self.id, p) for p in _points(self.axes, grid))
+        if self.classical:
+            classical_axes = [a for a in self.axes if a is not Q]
+            yield from ((self.classical, p) for p in _points(classical_axes, grid))
+
+
+def _points(axes, grid: Grid, bound: tuple = ()) -> Iterator[dict]:
+    if not axes:
+        yield dict(bound)
+        return
+    (key, values), *rest = axes
+    for v in values(grid, dict(bound)):
+        yield from _points(rest, grid, (*bound, (key, v)))
+
+
+SUITES: dict[str, Callable[[Grid, TableCache], list[IdentityReport]]] = {}
+
+
+def _suite(name: str, doc: str, *defs: tuple, verdict_only: bool = False):
+    """Register a suite of identities, each given as the fields of an
+    Identity; its checker reports every identity at every point."""
+    identities = [Identity(*d) for d in defs]
+
+    def check(grid: Grid, cache: TableCache) -> list[IdentityReport]:
+        reports = []
+        for ident in identities:
+            for rid, params in ident.points(grid):
+                if not isinstance(rid, str):
+                    rid = rid[tuple(KINDS).index(params["kind"])]
+                c = Point(cache, **params)
+                lhs, rhs = ident.lhs(c), ident.rhs(c)
+                reports.append(_report(rid, lhs, rhs, verdict_only=verdict_only, **params))
+        return sorted(reports, key=IdentityReport.sort_key)
+
+    check.__doc__ = doc
+    SUITES[name] = check
+    return check
+
+
+check_addition = _suite(
+    "lemma1", "Lemma 1: addition theorems and their x/y = 0 and x/y = 1 specializations.",
+    ("lemma1-pair", (KIND, N, ALPHA0, Q), lambda c: c.T[c.n],
+     lambda c: qconv(c.q, c.n, c.T.num, c.pair)),
+    (("be1-y", "be2-y"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n],
+     lambda c: qconv(c.q, c.n, c.T.y0, c.ey)),
+    (("be1-x", "be2-x"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n],
+     lambda c: qconv(c.q, c.n, c.T.x0, _x)),
+    (("be7-x", "be8-x"), (KIND, N, ALPHA0, Q), lambda c: c.T.y0[c.n],
+     lambda c: qconv(c.q, c.n, c.T.num, _x)),
+    (("be7-y", "be8-y"), (KIND, N, ALPHA0, Q), lambda c: c.T.x0[c.n],
+     lambda c: qconv(c.q, c.n, c.T.num, c.ey)),
+    (("be3-y1", "be4-y1"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n].substitute("y", 1),
+     lambda c: qconv(c.q, c.n, c.T.y0, lambda j: gauss_exponent(c.q, j))),
+    (("be3-x1", "be4-x1"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n].substitute("x", 1),
+     lambda c: qconv(c.q, c.n, c.T.x0, _one)),
+)
+check_q_derivative = _suite(
+    "lemma2", "Lemma 2: the Jackson-derivative ladder in each variable.",
+    (("lemma2-bern-x", "lemma2-eul-x"), (KIND, N1, ALPHA0, Q), lambda c: c.T[c.n].jackson("x", c.q),
+     lambda c: c.down(c.T)),
+    (("lemma2-bern-y", "lemma2-eul-y"), (KIND, N1, ALPHA0, Q), lambda c: c.T[c.n].jackson("y", c.q),
+     lambda c: c.down(lambda i: c.T[i].scale_var("y", c.q.value))),
+)
+check_difference = _suite(
+    "lemma3", "Lemma 3: difference equations linking order alpha to order alpha - 1.",
+    ("be5", (N, ALPHA, Q), lambda c: c.B[c.n].substitute("x", 1) - c.B.x0[c.n],
+     lambda c: c.down(c.Bm.x0)),
+    ("be6", (N, ALPHA, Q), lambda c: c.E[c.n].substitute("x", 1) + c.E.x0[c.n],
+     lambda c: 2 * c.Em.x0[c.n]),
+    ("be5-x", (N, ALPHA, Q), lambda c: c.B.y0[c.n] - c.B.ym1[c.n], lambda c: c.down(c.Bm.ym1)),
+    ("be6-x", (N, ALPHA, Q), lambda c: c.E.y0[c.n] + c.E.ym1[c.n], lambda c: 2 * c.Em.ym1[c.n]),
+)
+check_inversion = _suite(
+    "lemma4", "Lemma 4: order-lowering expansions and, at order one, the monomial expansions.",
+    ("be9", (N, ALPHA, Q), lambda c: c.Bm.x0[c.n], _be9),
+    ("be10", (N, ALPHA, Q), lambda c: c.Em.x0[c.n], _be10),
+    ("monomial-bern", (N, Q), lambda c: Poly2.monomial(0, c.n),
+     lambda c: _be9(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-bern"),
+    ("monomial-eul", (N, Q), lambda c: Poly2.monomial(0, c.n),
+     lambda c: _be10(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-eul"),
+)
+check_recurrence = _suite(
+    "lemma5", "Lemma 5: the four recurrences with the scaling modulus m.",
+    ("be11", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j: c.B.y0[j] - c.B.ym1[j]),
+     lambda c: c.m * q_number(c.q, c.k) * c.ysum(c.k - 1, c.Bm.ym1)),
+    ("be11-1", (K, ALPHA, M, Q),
+     lambda c: c.B[c.k].substitute("x", Fraction(1, c.m)) - c.xsum(c.k, c.B.x0),
+     lambda c: q_number(c.q, c.k) * c.xsum(c.k - 1, c.Bm.x0)),
+    ("be12", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j: c.E.y0[j] + c.E.ym1[j]),
+     lambda c: 2 * c.ysum(c.k, c.Em.ym1)),
+    ("be12-1", (K, ALPHA, M, Q),
+     lambda c: c.E[c.k].substitute("x", Fraction(1, c.m)) + c.xsum(c.k, c.E.x0),
+     lambda c: 2 * c.xsum(c.k, c.Em.x0)),
+)
+check_sp1 = _suite(
+    "sp1", "Both displays of the Bernoulli-through-Euler addition theorem.",
+    ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.Bm.ym1)),
+    ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.Bm.x0)),
+)
+check_sp2 = _suite(
+    "sp2", "Both displays of the Euler-through-Bernoulli addition theorem.",
+    ("sp2-1", (N, ALPHA, M, Q), lambda c: c.E[c.n], _sp2_x),
+    ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.Em.ym1)),
+)
+check_corollaries = _suite(
+    "corollaries", "The theorems at order one with the order-zero polynomials written out "
+    "as pair powers, the Cheon-type expansions, and classical forms.",
+    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.pair_ym1)),
+    ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.ey)),
+    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.pair_ym1)),
+    ("cw1", (N, Q), lambda c: c.B[c.n],
+     lambda c: qconv(c.q, c.n, lambda k: c.B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)
+                     if k else c.B.x0[0], c.E.y0),
+     "classical-c2-1"),
+    ("cw2", (N, Q), lambda c: c.B.y0[c.n], lambda c: _cw(c, c.E.y0)),
+    ("cw3", (N, Q), lambda c: c.B.x0[c.n], lambda c: _cw(c, c.E.x0)),
+    ("euler-c3", (N, Q), lambda c: c.E[c.n],
+     lambda c: qconv(c.q, c.n, lambda k: c.ey(k + 1) - c.E.x0[k + 1], c.B.y0,
+                     lambda k: 2 / q_number(c.q, k + 1)),
+     "classical-euler-c2-1"),
+    ("euler-c4-x", (N, Q), lambda c: c.E.y0[c.n], lambda c: _euler_c4(c, c.B.y0)),
+    ("euler-c4-y", (N, Q), lambda c: c.E.x0[c.n], lambda c: _euler_c4(c, c.B.x0)),
+    ("classical-c2-2", (N, M), lambda c: c.B[c.n], _classical_c2_2),
+    ("classical-euler-c2-2", (N, M), lambda c: c.E[c.n], _classical_euler_c2_2),
+)
+check_stirling_theorem = _suite(
+    "stirling-theorem", "The unproven mixed classical-Stirling expansion (verdict only): both\n"
+    "sides have x-degree at most n, so the n + 2 points x = r/m, with mx integral, decide it.",
+    (("stirling-bern", "stirling-eul"), (KIND, N, ALPHA, M, Q),
+     lambda c: Poly2.linear_combination(
+          (1, c.T[c.n].substitute("x", Fraction(r, c.m)), _x(r)) for r in range(c.n + 2)),
+     _stirling_rhs),
+    verdict_only=True,
+)
+check_bernstein = _suite(
+    "bernstein", "Bernstein-basis expansion through q-Stirling numbers.",
+    # [n k] b_{n,k}(x) = x^k sum_i [n i] S_q(i, k) B^{(k)}_{n-i}(1, -x)
+    ("bb1", (N, K_N, Q), lambda c: q_binomial(c.q, c.n, c.k) * q_bernstein(c.q, c.n, c.k),
+     lambda c: _x(c.k) * qconv(c.q, c.n, _one,
+                               lambda i: c.table(BERN, c.k)[i].substitute("x", 1).compose("y", -X),
+                               lambda i: q_stirling2(c.q, i, c.k))),
+)
+check_alpha_zero = _suite(
+    "alpha-zero", "Order-zero tables collapse to the symbolic pair power.",
+    ("alpha0-bern", (N10, Q), lambda c: c.table(BERN, 0)[c.n], lambda c: c.pair(c.n)),
+    ("alpha0-bern-y", (N10, Q), lambda c: c.table(BERN, 0).x0[c.n], lambda c: c.ey(c.n)),
+    ("alpha0-eul", (N10, Q), lambda c: c.table(EUL, 0)[c.n], lambda c: c.pair(c.n)),
+    ("alpha0-eul-y", (N10, Q), lambda c: c.table(EUL, 0).x0[c.n], lambda c: c.ey(c.n)),
+)
 
 
 def check_exp_inverse(order: int, q_set: tuple[QParam, ...]) -> list[IdentityReport]:
-    """e(t) E(-t) = 1, coefficient by coefficient.
-
-    The residual polynomial encodes the t-exponent in the x-degree slot.
-    """
+    """e(t) E(-t) = 1, coefficient by coefficient; the residual polynomial
+    encodes the t-exponent in the x-degree slot."""
     if order < 1:
         raise ValueError("order must be at least 1")
     reports = []
     for q in q_set:
         prod = eq_series(q, 1, order) * Eq_series(q, -1, order)
-        lhs = Poly2.zero()
-        for n, c in enumerate(prod.coeffs):
-            lhs = lhs + c * Poly2.monomial(n, 0, 1)
+        lhs = Poly2.linear_combination((1, c, _x(n)) for n, c in enumerate(prod.coeffs))
         reports.append(_report("exp-inverse", lhs, Poly2.one(), order=order, q=q))
-    return _sorted(reports)
-
-
-SUITES = {
-    "lemma1": check_addition,
-    "lemma2": check_q_derivative,
-    "lemma3": check_difference,
-    "lemma4": check_inversion,
-    "lemma5": check_recurrence,
-    "sp1": check_sp1,
-    "sp2": check_sp2,
-    "corollaries": check_corollaries,
-    "stirling-theorem": check_stirling_theorem,
-    "bernstein": check_bernstein,
-    "alpha-zero": check_alpha_zero,
-}
+    return sorted(reports, key=IdentityReport.sort_key)
 
 
 def run_suite(name: str, grid: Grid) -> list[IdentityReport]:
-    if name == "exp-inverse":
-        return check_exp_inverse(max(grid.n_max, 2), grid.q_set)
-    if name == "all":
-        out = []
-        for key in sorted(SUITES):
-            out.extend(SUITES[key](grid))
-        out.extend(check_exp_inverse(max(grid.n_max, 2), grid.q_set))
-        return out
-    if name not in SUITES:
+    """Run one suite, ``exp-inverse``, or ``all`` (every suite in name
+    order, then exp-inverse) over one table cache."""
+    run = {**SUITES, "exp-inverse": lambda g, cache: check_exp_inverse(g.n_max, g.q_set)}
+    if name != "all" and name not in run:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](grid)
+    names = [*sorted(SUITES), "exp-inverse"] if name == "all" else [name]
+    # the deepest table index each suite reads
+    reach = {"lemma4": grid.n_max + 1, "sp2": grid.n_max + 1, "corollaries": grid.n_max + 1,
+             "alpha-zero": max(grid.n_max, 10)}
+    cache = TableCache(max(reach.get(s, grid.n_max) for s in names))
+    return [r for s in names for r in run[s](grid, cache)]

@@ -133,6 +133,32 @@ class Poly2:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def linear_combination(
+        terms: Iterable[tuple[Scalar, "Poly2 | Scalar", "Poly2 | Scalar"]]
+    ) -> "Poly2":
+        """The sum of c * p * r over (c, p, r) triples, accumulated in one
+        term dict; p and r may each be a polynomial or a scalar."""
+        out: dict[Key, Fraction] = {}
+        get = out.get
+        for c, p, r in terms:
+            if not isinstance(p, Poly2):
+                p, r = r, p
+            if not isinstance(r, Poly2):
+                c = c * r
+                r = _ONE_TERMS
+            else:
+                r = r._terms
+            if not c:
+                continue
+            for (ax, ay), ac in _coerce(p)._terms.items():
+                if c != 1:
+                    ac = c * ac
+                for (bx, by), bc in r.items():
+                    k = (ax + bx, ay + by)
+                    out[k] = get(k, 0) + ac * bc
+        return _raw({k: v for k, v in out.items() if v})
+
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
@@ -204,15 +230,14 @@ class Poly2:
     def compose(self, var: str, replacement: "Poly2") -> "Poly2":
         """Substitute a whole polynomial for one variable."""
         i = _var_index(var)
-        powers: dict[int, Poly2] = {0: Poly2.one()}
-        out = Poly2.zero()
-        for k, c in sorted(self._terms.items()):
-            d = k[i]
-            if d not in powers:
-                powers[d] = replacement ** d
-            rest = Poly2.monomial(0, k[1], 1) if i == 0 else Poly2.monomial(k[0], 0, 1)
-            out = out + powers[d] * rest * c
-        return out
+        powers: dict[int, Poly2] = {}
+        for k in self._terms:
+            if k[i] not in powers:
+                powers[k[i]] = replacement ** k[i]
+        return Poly2.linear_combination(
+            (c, powers[k[i]], Poly2.monomial(0, k[1]) if i == 0 else Poly2.monomial(k[0], 0))
+            for k, c in self._terms.items()
+        )
 
     def jackson(self, var: str, q: QParam) -> "Poly2":
         """Jackson q-derivative in one variable, by the monomial rule.
@@ -248,6 +273,7 @@ def _raw(terms: dict[Key, Fraction]) -> Poly2:
     return p
 
 
+_ONE_TERMS = {(0, 0): Fraction(1)}
 X = Poly2.var("x")
 Y = Poly2.var("y")
 

@@ -3,10 +3,16 @@
 Everything here is a pure function of a rational deformation parameter q
 and small integer indices.  All results are exact ``fractions.Fraction``
 values; no floating point is used anywhere in this module.
+
+``q = None`` stands for the classical limit q -> 1 throughout: [a] is a,
+[n]! is n!, the Gaussian binomial is C(n, k) and q^{k(k-1)/2} is 1.  That
+one convention turns every q-formula built from these primitives into
+its classical counterpart.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +24,7 @@ class QParamError(ValueError):
 
 @dataclass(frozen=True)
 class QParam:
-    """A validated rational deformation parameter q, with q not in {0, 1}.
+    """A validated rational deformation parameter q, with q not in {0, 1, -1}.
 
     Values outside (0, 1) are admissible (every implemented identity is a
     formal polynomial identity) but trigger a warning, since the usual
@@ -33,6 +39,8 @@ class QParam:
             raise QParamError("q = 1 is excluded: q-integers divide by 1 - q")
         if self.value == 0:
             raise QParamError("q = 0 is excluded")
+        if self.value == -1:
+            raise QParamError("q = -1 is excluded: the q-integer [2] = 1 + q vanishes")
         if not self.in_principal_range:
             warnings.warn(
                 f"q = {self.value} lies outside (0, 1); identities remain "
@@ -52,24 +60,28 @@ class QParam:
         return str(self.value)
 
 
-def q_number(q: QParam, a: int) -> Fraction:
+def q_number(q: QParam | None, a: int) -> Fraction:
     """The q-integer [a] = (1 - q^a) / (1 - q)."""
     if a < 0:
         raise ValueError(f"q_number requires a >= 0, got {a}")
+    if q is None:
+        return Fraction(a)
     return (1 - q.value ** a) / (1 - q.value)
 
 
-def q_factorial(q: QParam, n: int) -> Fraction:
+def q_factorial(q: QParam | None, n: int) -> Fraction:
     """[n]! = [1][2]...[n], with [0]! = 1."""
     if n < 0:
         raise ValueError(f"q_factorial requires n >= 0, got {n}")
+    if q is None:
+        return Fraction(math.factorial(n))
     out = Fraction(1)
     for k in range(1, n + 1):
         out *= q_number(q, k)
     return out
 
 
-def q_binomial(q: QParam, n: int, k: int) -> Fraction:
+def q_binomial(q: QParam | None, n: int, k: int) -> Fraction:
     """Gaussian binomial coefficient, as a ratio of q-factorials.
 
     Out-of-range (k < 0 or k > n) is an error on purpose: silent zeros
@@ -91,14 +103,16 @@ def q_shifted_factorial(q: QParam, a: Fraction, n: int) -> Fraction:
     return out
 
 
-def gauss_exponent(q: QParam, k: int) -> Fraction:
+def gauss_exponent(q: QParam | None, k: int) -> Fraction:
     """The triangular weight q^{k(k-1)/2}."""
     if k < 0:
         raise ValueError(f"gauss_exponent requires k >= 0, got {k}")
+    if q is None:
+        return Fraction(1)
     return q.power(k * (k - 1) // 2)
 
 
-def q_pair_power(q: QParam, a: Fraction, b: Fraction, n: int) -> Fraction:
+def q_pair_power(q: QParam | None, a: Fraction, b: Fraction, n: int) -> Fraction:
     """Scalar q-analogue of (a + b)^n.
 
     Sum over k of [n choose k] q^{k(k-1)/2} a^{n-k} b^k.

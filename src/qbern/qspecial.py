@@ -3,7 +3,7 @@
 Generalized Bernoulli and Euler polynomials of integer order (in the
 q-deformed and classical flavours), Stirling numbers of the second kind
 (q and classical), the Phillips q-Bernstein basis, and the generalized
-binomial-coefficient polynomial.
+binomial coefficient with a rational upper argument.
 
 Tables are built once from their generating functions; independent
 triangular recurrences for the number sequences act as anti-bug oracles
@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal
 
 from .poly import Poly2, X, Y, symbolic_pair_power
 from .qcore import QParam, q_binomial, q_factorial, q_number
-from .series import Series, Eq_series, eq_series, _factorial
+from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
 
@@ -37,7 +38,12 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class PolyTable:
-    """Polynomials of one family, indexed 0..max_n."""
+    """Polynomials of one family, indexed 0..max_n.
+
+    ``x0``, ``y0`` and ``ym1`` are the rows projected to x = 0, y = 0 and
+    y = -1, and ``num`` the numbers at x = y = 0; each is computed on
+    first use and kept with the table.
+    """
 
     spec: FamilySpec
     max_n: int
@@ -46,17 +52,22 @@ class PolyTable:
     def __getitem__(self, n: int) -> Poly2:
         return self.entries[n]
 
+    x0 = cached_property(lambda t: tuple(p.substitute("x", 0) for p in t.entries))
+    y0 = cached_property(lambda t: tuple(p.substitute("y", 0) for p in t.entries))
+    ym1 = cached_property(lambda t: tuple(p.substitute("y", -1) for p in t.entries))
+    num = cached_property(lambda t: tuple(p.constant_term() for p in t.entries))
+
 
 def _kernel(kind: Kind, q: QParam | None, alpha: int, order: int) -> Series:
     """(t / (e(t) - 1))^alpha or (2 / (e(t) + 1))^alpha, truncated."""
     if kind == "q_bernoulli":
         # (e(t) - 1)/t has raw coefficients 1/[n+1]!; invert and raise.
-        base = Series([Fraction(1) / _factorial(q, n + 1) for n in range(order + 1)])
+        base = Series([Fraction(1) / q_factorial(q, n + 1) for n in range(order + 1)])
     else:
         # (e(t) + 1)/2
         base = Series(
             [Fraction(1)]
-            + [Fraction(1, 2) / _factorial(q, n) for n in range(1, order + 1)]
+            + [Fraction(1, 2) / q_factorial(q, n) for n in range(1, order + 1)]
         )
     return base.int_power(-alpha)
 
@@ -109,8 +120,7 @@ def classical_euler_poly(n: int, alpha: int = 1) -> Poly2:
 
 def q_number_sequence(spec: FamilySpec, max_n: int) -> list[Fraction]:
     """The number sequence: table entries evaluated at (0, 0)."""
-    table = family_table(spec, max_n)
-    return [table[n].evaluate(0, 0) for n in range(max_n + 1)]
+    return list(family_table(spec, max_n).num)
 
 
 def q_bernoulli_numbers_recurrence(q: QParam, max_n: int) -> list[Fraction]:
@@ -183,7 +193,7 @@ def classical_stirling2(n: int, k: int) -> Fraction:
     return row[k]
 
 
-# -- Bernstein basis and binomial polynomial -------------------------
+# -- Bernstein basis and binomial coefficients -------------------------
 
 
 def q_bernstein(q: QParam, n: int, k: int) -> Poly2:
@@ -200,16 +210,6 @@ def classical_bernstein(n: int, k: int) -> Poly2:
     if not 0 <= k <= n:
         raise ValueError(f"classical_bernstein requires 0 <= k <= n")
     return Poly2.monomial(k, 0, 1) * (Poly2.one() - X) ** (n - k)
-
-
-def binomial_poly(j: int) -> Poly2:
-    """The degree-j polynomial z (z-1) ... (z-j+1) / j!, written in x."""
-    if j < 0:
-        raise ValueError("binomial_poly requires j >= 0")
-    out = Poly2.one()
-    for i in range(j):
-        out = out * (X - Poly2.const(i))
-    return out * Fraction(1, math.factorial(j))
 
 
 def falling_binomial(z: Fraction, j: int) -> Fraction:

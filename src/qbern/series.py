@@ -5,15 +5,13 @@ The exponential-generating-function view a_n = c_n * [n]! is provided by
 :func:`egf_coefficient`; keeping raw coefficients makes the reciprocal
 recursion and Cauchy products simple.
 
-The constructors accept ``q=None`` to mean the classical (undeformed)
-case, where [n]! is the ordinary factorial and the triangular weight is
-1.  That single switch turns every q-generating function here into its
-classical counterpart.
+The constructors accept ``q=None`` for the classical (undeformed) case,
+following the qcore convention, so every q-generating function here has
+its classical counterpart.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -21,18 +19,6 @@ from .poly import Poly2
 from .qcore import QParam, q_factorial, gauss_exponent
 
 ArgLike = Union[Poly2, Fraction, int]
-
-
-def _factorial(q: QParam | None, n: int) -> Fraction:
-    if q is None:
-        return Fraction(math.factorial(n))
-    return q_factorial(q, n)
-
-
-def _triangular(q: QParam | None, n: int) -> Fraction:
-    if q is None:
-        return Fraction(1)
-    return gauss_exponent(q, n)
 
 
 class Series:
@@ -76,14 +62,11 @@ class Series:
     def __mul__(self, other: "Series | Fraction | int") -> "Series":
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs])
-        n = min(self.order, other.order)
-        out = []
-        for i in range(n + 1):
-            acc = Poly2.zero()
-            for k in range(i + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[i - k]
-            out.append(acc)
-        return Series(out)
+        a, b = self.coeffs, other.coeffs
+        return Series([
+            Poly2.linear_combination((1, a[k], b[i - k]) for k in range(i + 1))
+            for i in range(min(self.order, other.order) + 1)
+        ])
 
     __rmul__ = __mul__
 
@@ -100,10 +83,9 @@ class Series:
         inv0 = 1 / c0.constant_term()
         out = [Poly2.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = Poly2.zero()
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(acc * -inv0)
+            out.append(Poly2.linear_combination(
+                (-inv0, self.coeffs[k], out[n - k]) for k in range(1, n + 1)
+            ))
         return Series(out)
 
     def int_power(self, exponent: int) -> "Series":
@@ -118,16 +100,11 @@ class Series:
             n >>= 1
         return out
 
-    def scale_arg(self, c: Fraction | int) -> "Series":
-        """Substitute t -> c t: the t^n coefficient picks up c^n."""
-        c = Fraction(c)
-        return Series([coef * c ** n for n, coef in enumerate(self.coeffs)])
-
     def egf_coefficient(self, n: int, q: QParam | None) -> Poly2:
         """The n-th coefficient in the [n]!-weighted (EGF) view: c_n * [n]!."""
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} outside 0..{self.order}")
-        return self.coeffs[n] * _factorial(q, n)
+        return self.coeffs[n] * q_factorial(q, n)
 
 
 def eq_series(q: QParam | None, arg: ArgLike, order: int) -> Series:
@@ -139,7 +116,7 @@ def eq_series(q: QParam | None, arg: ArgLike, order: int) -> Series:
         raise ValueError("order must be nonnegative")
     arg = arg if isinstance(arg, Poly2) else Poly2.const(arg)
     return Series(
-        [arg ** n * (1 / _factorial(q, n)) for n in range(order + 1)]
+        [arg ** n * (1 / q_factorial(q, n)) for n in range(order + 1)]
     )
 
 
@@ -150,7 +127,7 @@ def Eq_series(q: QParam | None, arg: ArgLike, order: int) -> Series:
     arg = arg if isinstance(arg, Poly2) else Poly2.const(arg)
     return Series(
         [
-            arg ** n * (_triangular(q, n) / _factorial(q, n))
+            arg ** n * (gauss_exponent(q, n) / q_factorial(q, n))
             for n in range(order + 1)
         ]
     )

@@ -1,5 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import qbern
 
 from qbern.cli import main, poly_from_terms, poly_latex, poly_terms
 from qbern.poly import Poly2, X, Y
@@ -178,6 +185,19 @@ class TestTable:
         assert code == 3
         assert "domain error" in err
 
+    def test_q_minus_one_is_domain_error(self, capsys):
+        code, _, err = run(capsys, "table", "--family", "qbernoulli", "--n-max", "2", "--q", "-1")
+        assert code == 3
+        assert "domain error" in err
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "f.json"
+        code, _, err = run(
+            capsys, "table", "--family", "stirling2", "--n-max", "2", "--out", str(out)
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_unknown_family_rejected_by_argparse(self, capsys):
         code, _, _ = run(
             capsys, "table", "--family", "nonsense", "--n-max", "2"
@@ -268,6 +288,24 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_run_checking_nothing_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "lemma3", "--alpha-set", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_small_grid_output_digest(self, capsys, tmp_path):
+        # pins every report id, parameter order and residual on a small grid
+        out = tmp_path / "verify.json"
+        code, _, _ = run(
+            capsys, "verify", "--suite", "all", "--n-max", "5", "--alpha-set", "1,2",
+            "--m-set", "1,2", "--q-set", "1/2,3/4", "--no-meta", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "405145d1949b1eece9bc9ec146c4145797f364e08af118408658451d88fe27f2"
+        )
+
     def test_deterministic_with_no_meta(self, capsys):
         args = (
             "verify",
@@ -327,3 +365,16 @@ class TestSerialization:
 
     def test_poly_latex_zero(self):
         assert poly_latex(Poly2.zero()) == "0"
+
+
+def test_module_runs_as_script():
+    env = dict(os.environ)
+    src = str(Path(qbern.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qbern.cli", "table", "--family", "stirling2", "--n-max", "2",
+         "--no-meta"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"]["rows"][-1] == {"n": 2, "k": 2, "value": "1"}

@@ -1,8 +1,11 @@
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbern import identities
 from qbern.identities import (
     CORRECTIONS,
     Grid,
@@ -118,6 +121,14 @@ def test_grid_validation():
         Grid(n_max=4, alpha_set=(), m_set=(1,), q_set=q)
     with pytest.raises(ValueError):
         Grid(n_max=4, alpha_set=(1,), m_set=(0,), q_set=q)
+    with pytest.raises(ValueError):
+        Grid(n_max=4, alpha_set=(-1,), m_set=(1,), q_set=q)
+    with pytest.raises(ValueError):
+        Grid(n_max=4, alpha_set=(1, 2, 1), m_set=(1,), q_set=q)
+    with pytest.raises(ValueError):
+        Grid(n_max=4, alpha_set=(1,), m_set=(2, 2), q_set=q)
+    with pytest.raises(ValueError):
+        Grid(n_max=4, alpha_set=(1,), m_set=(1,), q_set=q + (QParam(F(2, 4)),))
 
 
 def test_default_grid_shape():
@@ -134,3 +145,39 @@ def test_reports_are_deterministically_ordered():
     assert a == b
     keys = [r.sort_key() for r in a]
     assert keys == sorted(keys)
+
+
+def test_one_table_cache_per_run(monkeypatch):
+    built = []
+    real = identities.family_table
+
+    def counting(spec, max_n):
+        built.append((spec, max_n))
+        return real(spec, max_n)
+
+    monkeypatch.setattr(identities, "family_table", counting)
+    grid = Grid(n_max=3, alpha_set=(1, 2), m_set=(1, 2), q_set=(QParam(F(1, 2)),))
+    run_suite("all", grid)
+    assert built and len(built) == len(set(built))  # every table built once
+    assert {n for _, n in built} == {10}  # as deep as alpha-zero reads
+    built.clear()
+    run_suite("lemma1", grid)
+    assert {n for _, n in built} == {3}
+
+
+# q = a/b with |a|, b <= 20, on both sides of (0, 1), never a root of unity
+random_q = st.builds(F, st.integers(-20, 20), st.integers(1, 20)).filter(
+    lambda v: v not in (0, 1, -1)
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(value=random_q)
+def test_gated_suites_hold_at_random_q(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
+        grid = Grid(n_max=3, alpha_set=(1, 2), m_set=(1, 2), q_set=(QParam(value),))
+        for suite in (*GATED_SUITES, "exp-inverse"):
+            reports = run_suite(suite, grid)
+            assert reports
+            assert [r.identity_id for r in reports if not r.passed] == [], suite

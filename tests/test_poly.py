@@ -149,3 +149,14 @@ def test_jackson_matches_difference_quotient(p, var):
 @given(a=polys(), b=polys(), var=st.sampled_from(["x", "y"]))
 def test_jackson_additivity(a, b, var):
     assert (a + b).jackson(var, Q2) == a.jackson(var, Q2) + b.jackson(var, Q2)
+
+
+@given(terms=st.lists(st.tuples(small_fractions, polys() | small_fractions,
+                                polys() | small_fractions), max_size=6))
+def test_linear_combination_matches_repeated_addition(terms):
+    expected = Poly2.zero()
+    for c, p, r in terms:
+        expected = expected + Poly2.const(c) * p * r
+    got = Poly2.linear_combination(terms)
+    assert got == expected
+    assert all(coeff for _, coeff in got.terms())  # no stored zeros

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -27,6 +28,11 @@ class TestQParam:
     def test_rejects_zero(self):
         with pytest.raises(QParamError):
             QParam(F(0))
+
+    def test_rejects_minus_one(self):
+        # [2] = 1 + q vanishes, so every q-factorial past 1 would be zero
+        with pytest.raises(QParamError):
+            QParam(F(-1))
 
     def test_principal_range_flag(self):
         assert Q2.in_principal_range
@@ -169,3 +175,26 @@ def test_symmetry_property(q, n, k):
 def test_pair_power_degenerates_without_second_slot(q, a, b):
     assert q_pair_power(q, a, b, 0) == 1
     assert q_pair_power(q, a, b, 1) == a + b
+
+
+class TestClassicalConvention:
+    """q = None is the classical limit q -> 1."""
+
+    def test_scalars(self):
+        for n in range(8):
+            assert q_number(None, n) == n
+            assert q_factorial(None, n) == math.factorial(n)
+            assert gauss_exponent(None, n) == 1
+            for k in range(n + 1):
+                assert q_binomial(None, n, k) == math.comb(n, k)
+
+    def test_limit_of_q_values(self):
+        # the q-binomial at q = 1 + 1/N approaches C(n, k) from above
+        n, k = 6, 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            near = [q_binomial(QParam(1 + F(1, big)), n, k) for big in (10, 100, 1000)]
+        assert near[0] > near[1] > near[2] > q_binomial(None, n, k)
+
+    def test_pair_power(self):
+        assert q_pair_power(None, F(2), F(3), 4) == 5 ** 4

@@ -6,7 +6,6 @@ from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern.qcore import QParam, q_binomial, q_number, gauss_exponent
 from qbern.qspecial import (
     FamilySpec,
-    binomial_poly,
     classical_bernoulli_poly,
     classical_bernstein,
     classical_euler_poly,
@@ -59,6 +58,16 @@ class TestBernoulliTable:
             t = q_bernoulli_table(Q2, alpha, 6)
             for n in range(7):
                 assert t[n].total_degree() == n
+
+
+    def test_projected_rows(self):
+        t = q_euler_table(Q2, 2, 5)
+        for n in range(6):
+            assert t.x0[n] == t[n].substitute("x", 0)
+            assert t.y0[n] == t[n].substitute("y", 0)
+            assert t.ym1[n] == t[n].substitute("y", -1)
+            assert t.num[n] == t[n].evaluate(0, 0)
+        assert t.x0 is t.x0  # computed once, kept with the table
 
 
 class TestEulerTable:
@@ -214,14 +223,15 @@ class TestBernstein:
 
 
 class TestBinomialPoly:
+    # falling_binomial(z, j) is the binomial polynomial z (z-1) ... (z-j+1) / j!
+    # evaluated at a rational z
     def test_degree_zero(self):
-        assert binomial_poly(0) == Poly2.one()
+        assert falling_binomial(F(-7, 3), 0) == 1
 
     def test_degree_one(self):
-        assert binomial_poly(1) == X
+        assert falling_binomial(F(-7, 3), 1) == F(-7, 3)
 
     def test_half_at_two(self):
-        assert binomial_poly(2).evaluate(F(1, 2), 0) == F(-1, 8)
         assert falling_binomial(F(1, 2), 2) == F(-1, 8)
 
     def test_integer_agreement(self):

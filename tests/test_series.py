@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from qbern.poly import Poly2, X, Y
-from qbern.qcore import QParam, q_factorial, q_number, gauss_exponent
+from qbern.qcore import QParam, q_number, gauss_exponent
 from qbern.series import Series, Eq_series, eq_series
 
 Q2 = QParam(F(1, 2))
@@ -72,31 +72,6 @@ class TestIntPower:
 
     def test_negative_two(self):
         assert from_scalars(1, 1, 0).int_power(-2) == from_scalars(1, -2, 3)
-
-
-class TestScaleArg:
-    def test_identity_scale(self):
-        a = from_scalars(1, 2, 3)
-        assert a.scale_arg(1) == a
-
-    def test_half(self):
-        assert from_scalars(1, 1, 1).scale_arg(F(1, 2)) == from_scalars(
-            1, F(1, 2), F(1, 4)
-        )
-
-    def test_exponential_raw_coefficients(self):
-        c = F(2, 3)
-        s = eq_series(Q2, 1, 5).scale_arg(c)
-        for n in range(6):
-            assert s.coeffs[n] == Poly2.const(c**n / q_factorial(Q2, n))
-
-    def test_matches_substitution_oracle(self):
-        # scaling t and then reading coefficient n equals multiplying by c^n
-        a = Series([X + Y, 2 * X, Poly2.const(F(1, 3)), Y**2])
-        c = F(-3, 5)
-        scaled = a.scale_arg(c)
-        for n in range(4):
-            assert scaled.coeffs[n] == a.coeffs[n] * c**n
 
 
 class TestExponentials:
