@@ -10,8 +10,10 @@ Rational values always serialize as strings like ``"-2/3"`` (never as
 floats), and output is byte-identical across runs when ``--no-meta`` is
 given.
 
-Exit codes: 0 success, 1 verification failures, 2 argument errors,
-3 domain errors (e.g. q = 1).
+Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
+3 domain errors (e.g. q = 1, or a value too large for its decimal
+field), 4 any other error (``internal error: <type>: <message>`` on
+stderr).  No input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from fractions import Fraction
 
 from . import __version__
 from .poly import Poly2
-from .qcore import QParam, QParamError
-from .identities import Grid, IdentityReport, SUITES, run_suite
+from .qcore import QParam
+from .identities import Grid, IdentityReport, SUITE_ORDER, run_suite
 from .qspecial import (
     FamilySpec,
     classical_limit_errors,
@@ -37,15 +39,15 @@ from .qspecial import (
     q_stirling2,
 )
 
-TABLE_FAMILIES = (
-    "qbernoulli",
-    "qeuler",
-    "qstirling",
-    "qbernstein",
-    "classical-bernoulli",
-    "classical-euler",
-    "stirling2",
-)
+# The Bernoulli and Euler families and their kinds; the classical ones are
+# the q = None tables.  Families named q... take --q.
+KINDS = {
+    "qbernoulli": "q_bernoulli",
+    "qeuler": "q_euler",
+    "classical-bernoulli": "q_bernoulli",
+    "classical-euler": "q_euler",
+}
+TABLE_FAMILIES = (*KINDS, "qstirling", "qbernstein", "stirling2")
 
 
 class CliError(Exception):
@@ -114,80 +116,73 @@ def _parse_q_list(text: str) -> tuple[QParam, ...]:
 # -- table command ---------------------------------------------------
 
 
+def _q(args) -> QParam | None:
+    """--q for a family named q..., which requires it; None for the others."""
+    if not args.family.startswith("q"):
+        return None
+    if args.q is None:
+        raise CliError(f"--q is required for family {args.family}")
+    return _parse_q(args.q)
+
+
 def _table_payload(args) -> dict:
-    family = args.family
-    n_max = args.n_max
+    family, n_max = args.family, args.n_max
     if n_max < 0:
         raise CliError("--n-max must be nonnegative")
+    q = _q(args)
     payload: dict = {"family": family, "n_max": n_max}
-
-    if family in ("qbernoulli", "qeuler", "classical-bernoulli", "classical-euler"):
-        kind = "q_bernoulli" if "bernoulli" in family else "q_euler"
-        q = None
-        if family.startswith("q"):
-            if args.q is None:
-                raise CliError(f"--q is required for family {family}")
-            q = _parse_q(args.q)
-            payload["q"] = str(q)
+    if q is not None:
+        payload["q"] = str(q)
+    if family in KINDS:
         payload["alpha"] = args.alpha
-        table = family_table(FamilySpec(kind, args.alpha, q), n_max)
-        payload["entries"] = [
-            {"n": n, "poly": poly_terms(table[n])} for n in range(n_max + 1)
-        ]
-    elif family == "stirling2":
-        payload["rows"] = [
-            {"n": n, "k": k, "value": str(classical_stirling2(n, k))}
-            for n in range(n_max + 1)
-            for k in range(n + 1)
-        ]
-    elif family == "qstirling":
-        if args.q is None:
-            raise CliError("--q is required for family qstirling")
-        q = _parse_q(args.q)
-        payload["q"] = str(q)
-        payload["rows"] = [
-            {"n": n, "k": k, "value": str(q_stirling2(q, n, k))}
-            for n in range(n_max + 1)
-            for k in range(n + 1)
-        ]
-    elif family == "qbernstein":
-        if args.q is None:
-            raise CliError("--q is required for family qbernstein")
-        q = _parse_q(args.q)
-        payload["q"] = str(q)
-        payload["entries"] = [
-            {"n": n, "k": k, "poly": poly_terms(q_bernstein(q, n, k))}
-            for n in range(n_max + 1)
-            for k in range(n + 1)
-        ]
-    else:  # pragma: no cover - argparse choices guard this
-        raise CliError(f"unknown family {family!r}")
+        table = family_table(FamilySpec(KINDS[family], args.alpha, q), n_max)
+        payload["entries"] = [{"n": n, "poly": poly_terms(p)} for n, p in enumerate(table.entries)]
+        return payload
+    # the (n, k) triangles: q-Bernstein polynomials, or q-Stirling numbers with
+    # the classical ones at q = None
+    if family == "qbernstein":
+        name, key, cell = "entries", "poly", lambda n, k: poly_terms(q_bernstein(q, n, k))
+    else:
+        name, key = "rows", "value"
+        cell = lambda n, k: str(classical_stirling2(n, k) if q is None else q_stirling2(q, n, k))
+    payload[name] = [
+        {"n": n, "k": k, key: cell(n, k)} for n in range(n_max + 1) for k in range(n + 1)
+    ]
     return payload
 
 
+def _flat(payload: dict) -> tuple[str, list[tuple[str, str | list[dict]]]]:
+    """The index columns of a table and its (index, value) rows, in order.
+
+    The index is ``n``, or ``n,k`` whenever the entries carry k; a value is
+    a number string or the terms of a polynomial.
+    """
+    items = payload["rows"] if "rows" in payload else payload["entries"]
+    cols = ("n", "k") if "k" in items[0] else ("n",)
+    return ",".join(cols), [
+        (",".join(str(e[c]) for c in cols), e["value"] if "value" in e else e["poly"])
+        for e in items
+    ]
+
+
 def _table_csv(payload: dict) -> str:
-    lines = []
-    if "rows" in payload:
-        lines.append("n,k,value")
-        for row in payload["rows"]:
-            lines.append(f"{row['n']},{row['k']},{row['value']}")
-    else:
-        lines.append("n,dx,dy,coeff")
-        for entry in payload["entries"]:
-            for t in entry["poly"]:
-                lines.append(f"{entry['n']},{t['dx']},{t['dy']},{t['coeff']}")
+    cols, rows = _flat(payload)
+    lines = [f"{cols},value" if "rows" in payload else f"{cols},dx,dy,coeff"]
+    for index, value in rows:
+        if isinstance(value, str):
+            lines.append(f"{index},{value}")
+        else:
+            lines.extend(f"{index},{t['dx']},{t['dy']},{t['coeff']}" for t in value)
     return "\n".join(lines) + "\n"
 
 
 def _table_latex(payload: dict) -> str:
     lines = ["\\begin{tabular}{rl}", "n & value \\\\", "\\hline"]
-    if "rows" in payload:
-        for row in payload["rows"]:
-            lines.append(f"({row['n']},{row['k']}) & {row['value']} \\\\")
-    else:
-        for entry in payload["entries"]:
-            label = entry["n"] if "k" not in entry else f"({entry['n']},{entry['k']})"
-            lines.append(f"{label} & ${poly_latex(poly_from_terms(entry['poly']))}$ \\\\")
+    for index, value in _flat(payload)[1]:
+        label = f"({index})" if "," in index else index
+        if not isinstance(value, str):
+            value = f"${poly_latex(poly_from_terms(value))}$"
+        lines.append(f"{label} & {value} \\\\")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
 
@@ -209,7 +204,7 @@ def _report_obj(r: IdentityReport) -> dict:
     return obj
 
 
-def _verify_payload(args) -> tuple[dict, int]:
+def _verify_payload(args) -> dict:
     try:
         grid = Grid(
             n_max=args.n_max,
@@ -222,8 +217,8 @@ def _verify_payload(args) -> tuple[dict, int]:
     reports = run_suite(args.suite, grid)
     if not reports:
         raise CliError(f"suite {args.suite} checks no identity on this grid")
-    failures = [r for r in reports if not r.passed and not r.verdict_only]
-    verdict_fails = [r for r in reports if not r.passed and r.verdict_only]
+    verdicts = [r for r in reports if r.verdict_only]
+    holding = sum(r.passed for r in verdicts)
     payload = {
         "suite": args.suite,
         "grid": {
@@ -233,17 +228,16 @@ def _verify_payload(args) -> tuple[dict, int]:
             "q_set": [str(q) for q in grid.q_set],
         },
         "total": len(reports),
-        "failures": len(failures),
+        "failures": sum(not (r.passed or r.verdict_only) for r in reports),
         "reports": [_report_obj(r) for r in reports],
     }
-    verdict_reports = [r for r in reports if r.verdict_only]
-    if verdict_reports:
+    if verdicts:
         payload["verdicts"] = {
-            "recorded": len(verdict_reports),
-            "holding": sum(r.passed for r in verdict_reports),
-            "failing": len(verdict_fails),
+            "recorded": len(verdicts),
+            "holding": holding,
+            "failing": len(verdicts) - holding,
         }
-    return payload, (1 if failures else 0)
+    return payload
 
 
 # -- limit command ---------------------------------------------------
@@ -251,12 +245,11 @@ def _verify_payload(args) -> tuple[dict, int]:
 
 def _limit_payload(args) -> dict:
     family = args.family
-    if family not in ("qbernoulli", "qeuler"):
+    if not family.startswith("q") or family not in KINDS:
         raise CliError("limit supports families qbernoulli and qeuler")
-    kind = "q_bernoulli" if family == "qbernoulli" else "q_euler"
     x = _parse_fraction(args.x)
     q_seq = list(_parse_q_list(args.q_seq))
-    errors = classical_limit_errors(kind, args.alpha, args.n, x, q_seq)
+    errors = classical_limit_errors(KINDS[family], args.alpha, args.n, x, q_seq)
     return {
         "family": family,
         "alpha": args.alpha,
@@ -272,8 +265,14 @@ def _limit_payload(args) -> dict:
 
 # -- driver ----------------------------------------------------------
 
+WRITERS = {"csv": _table_csv, "latex": _table_latex}  # json is what _emit writes by default
+
 
 def build_parser() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None)
+    output.add_argument("--no-meta", action="store_true")
+
     parser = argparse.ArgumentParser(
         prog="qbern",
         description="Exact tables and identity verification for generalized "
@@ -281,55 +280,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="emit a polynomial or number table")
+    p = sub.add_parser("table", parents=[output], help="emit a polynomial or number table")
     p.add_argument("--family", required=True, choices=TABLE_FAMILIES)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q", default=None, help="rational q, e.g. 1/2")
-    p.add_argument("--format", default="json", choices=("json", "csv", "latex"))
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-meta", action="store_true")
+    p.add_argument("--format", default="json", choices=("json", *WRITERS))
 
-    p = sub.add_parser("verify", help="run an identity suite over a grid")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=tuple(sorted(SUITES)) + ("exp-inverse", "all"),
-    )
+    p = sub.add_parser("verify", parents=[output], help="run an identity suite over a grid")
+    p.add_argument("--suite", required=True, choices=(*SUITE_ORDER, "all"))
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--alpha-set", default="1,2,3")
     p.add_argument("--m-set", default="1,2,3")
     p.add_argument("--q-set", default="1/2,1/3,3/4")
-    p.add_argument("--format", default="json", choices=("json",))
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-meta", action="store_true")
 
-    p = sub.add_parser("limit", help="classical-limit error study")
+    p = sub.add_parser("limit", parents=[output], help="classical-limit error study")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", default="0")
     p.add_argument("--q-seq", default="9/10,99/100,999/1000")
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-meta", action="store_true")
 
     return parser
 
 
 def _emit(args, payload: dict, text: str | None = None) -> None:
+    """Write ``text``, or the payload as JSON under a meta block unless --no-meta."""
     if text is None:
-        doc = {} if args.no_meta else {
+        doc = {"payload": payload} if args.no_meta else {
             "meta": {
                 "tool": "qbern",
                 "version": __version__,
                 "command": " ".join(sys.argv[1:]) if sys.argv else "",
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            }
+            },
+            "payload": payload,
         }
-        if args.no_meta:
-            doc = {"payload": payload}
-        else:
-            doc["payload"] = payload
         text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         try:
@@ -341,6 +327,17 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+COMMANDS = {"table": _table_payload, "verify": _verify_payload, "limit": _limit_payload}
+
+# The exit code and stderr line of an exception leaving a command; the
+# first row that matches wins.
+EXIT_CODES = (
+    (CliError, 2, "error: {exc}"),
+    ((ValueError, KeyError, IndexError, ArithmeticError), 3, "domain error: {exc}"),
+    (Exception, 4, "internal error: {type}: {exc}"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -350,28 +347,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # q outside (0,1) is fine here
-            if args.command == "table":
-                payload = _table_payload(args)
-                if args.format == "csv":
-                    _emit(args, payload, _table_csv(payload))
-                elif args.format == "latex":
-                    _emit(args, payload, _table_latex(payload))
-                else:
-                    _emit(args, payload)
-                return 0
-            if args.command == "verify":
-                payload, code = _verify_payload(args)
-                _emit(args, payload)
-                return code
-            payload = _limit_payload(args)
-            _emit(args, payload)
-            return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (QParamError, ValueError, KeyError, IndexError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
+            payload = COMMANDS[args.command](args)
+            write = WRITERS.get(getattr(args, "format", "json"))
+            _emit(args, payload, write(payload) if write else None)
+    except Exception as exc:
+        code, line = next((c, f) for types, c, f in EXIT_CODES if isinstance(exc, types))
+        print(line.format(exc=exc, type=type(exc).__name__), file=sys.stderr)
+        return code
+    # exit code 1 means a gated identity failed
+    return 1 if payload.get("failures") else 0
 
 
 def entry() -> None:  # console-script wrapper

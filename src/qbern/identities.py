@@ -486,15 +486,19 @@ def check_exp_inverse(order: int, q_set: tuple[QParam, ...]) -> list[IdentityRep
     return sorted(reports, key=IdentityReport.sort_key)
 
 
+# The run order of ``all``: every suite in name order, then exp-inverse.
+SUITE_ORDER = (*sorted(SUITES), "exp-inverse")
+
+
 def run_suite(name: str, grid: Grid) -> list[IdentityReport]:
-    """Run one suite, ``exp-inverse``, or ``all`` (every suite in name
-    order, then exp-inverse) over one table cache."""
+    """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order,
+    over one table cache."""
     run = {**SUITES, "exp-inverse": lambda g, cache: check_exp_inverse(g.n_max, g.q_set)}
-    if name != "all" and name not in run:
+    if name != "all" and name not in SUITE_ORDER:
         raise KeyError(f"unknown suite {name!r}")
-    names = [*sorted(SUITES), "exp-inverse"] if name == "all" else [name]
+    names = SUITE_ORDER if name == "all" else (name,)
     # the deepest table index each suite reads
-    reach = {"lemma4": grid.n_max + 1, "sp2": grid.n_max + 1, "corollaries": grid.n_max + 1,
+    reach = {"sp2": grid.n_max + 1, "corollaries": grid.n_max + 1,
              "alpha-zero": max(grid.n_max, 10)}
     cache = TableCache(max(reach.get(s, grid.n_max) for s in names))
     return [r for s in names for r in run[s](grid, cache)]

@@ -6,8 +6,10 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-import qbern
+import pytest
 
+import qbern
+import qbern.cli
 from qbern.cli import main, poly_from_terms, poly_latex, poly_terms
 from qbern.poly import Poly2, X, Y
 from qbern.qcore import QParam
@@ -127,6 +129,33 @@ class TestTable:
         lines = out.splitlines()
         assert lines[0] == "n,dx,dy,coeff"
         assert "2,0,0,1/6" in lines
+
+    def test_csv_bernstein_rows_carry_k(self, capsys):
+        code, out, _ = run(
+            capsys, "table", "--family", "qbernstein", "--n-max", "1", "--q", "1/2",
+            "--format", "csv", "--no-meta",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,k,dx,dy,coeff"
+        # b_{1,0} = 1 - x and b_{1,1} = x
+        assert lines[1:] == ["0,0,0,0,1", "1,0,0,0,1", "1,0,1,0,-1", "1,1,1,0,1"]
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "65a7166c7ca72d317a664947ccee677782a5238dec9e415563d2bd39129da169"),
+        ("csv", "d16093f83dbf7f4d5a734b6c134295b7421da54d9ab8406ff92f57f4145ab60e"),
+        ("latex", "3aea0922a437fe708afe08340060b24700c9e0c0b298a3fb0eee79033cfce567"),
+    ])
+    def test_every_family_output_digest(self, capsys, fmt, digest):
+        # pins the --no-meta output of all seven families, one format at a time
+        outputs = []
+        for family in ("qbernoulli", "qeuler", "qstirling", "qbernstein",
+                       "classical-bernoulli", "classical-euler", "stirling2"):
+            code, out, _ = run(capsys, "table", "--family", family, "--alpha", "2",
+                               "--n-max", "4", "--q=-7/3", "--format", fmt, "--no-meta")
+            assert code == 0
+            outputs.append(out)
+        assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
 
     def test_latex(self, capsys):
         code, out, _ = run(
@@ -288,6 +317,22 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_format_is_not_an_option(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "exp-inverse", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --format json" in err
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(name, grid):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(qbern.cli, "run_suite", broken)
+        code, out, err = run(capsys, "verify", "--suite", "exp-inverse", "--no-meta")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
     def test_run_checking_nothing_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "lemma3", "--alpha-set", "0")
         assert code == 2
@@ -345,6 +390,15 @@ class TestLimit:
         payload = json.loads(out)["payload"]
         assert [e["error"] for e in payload["errors"]] == ["1/40", "1/400"]
         assert payload["monotone_decreasing"] is True
+
+    def test_decimal_overflow_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "limit", "--family", "qeuler", "--n", "2", "--x", "1e400", "--no-meta"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error: ")
+        assert "Traceback" not in err
 
     def test_unsupported_family(self, capsys):
         code, _, err = run(

@@ -160,9 +160,10 @@ def test_one_table_cache_per_run(monkeypatch):
     run_suite("all", grid)
     assert built and len(built) == len(set(built))  # every table built once
     assert {n for _, n in built} == {10}  # as deep as alpha-zero reads
-    built.clear()
-    run_suite("lemma1", grid)
-    assert {n for _, n in built} == {3}
+    for suite, depth in (("lemma1", 3), ("lemma4", 3), ("sp2", 4)):
+        built.clear()
+        run_suite(suite, grid)
+        assert {n for _, n in built} == {depth}, suite
 
 
 # q = a/b with |a|, b <= 20, on both sides of (0, 1), never a root of unity

@@ -1,6 +1,10 @@
+import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from qbern.identities import qconv
 
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern.qcore import QParam, q_binomial, q_number, gauss_exponent
@@ -99,6 +103,31 @@ class TestNumberSequences:
     def test_leading_values(self):
         assert q_bernoulli_numbers_recurrence(Q2, 1) == [F(1), F(-2, 3)]
         assert q_euler_numbers_recurrence(Q2, 2) == [F(1), F(-1, 2), F(-1, 8)]
+
+
+# q = a/b with |a|, b <= 20, on both sides of (0, 1), never a root of unity
+random_q = st.builds(F, st.integers(-20, 20), st.integers(1, 20)).filter(
+    lambda v: v not in (0, 1, -1)
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(value=random_q, alpha=st.sampled_from([2, 3]))
+def test_order_alpha_numbers_are_convolution_powers(value, alpha):
+    # The order-alpha kernel is the alpha-th power of the order-1 kernel, so
+    # its numbers are the alpha-fold q-binomial self-convolution of the
+    # order-1 numbers; those come from the recurrences, not from any series.
+    n_max = 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
+        q = QParam(value)
+        for kind, order1 in (("q_bernoulli", q_bernoulli_numbers_recurrence),
+                             ("q_euler", q_euler_numbers_recurrence)):
+            base = order1(q, n_max)
+            power = base
+            for _ in range(alpha - 1):
+                power = [qconv(q, n, power, base).constant_term() for n in range(n_max + 1)]
+            assert q_number_sequence(FamilySpec(kind, alpha, q), n_max) == power, kind
 
 
 class TestAlphaStructure:
