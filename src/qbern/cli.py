@@ -21,13 +21,15 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
+import time
 import warnings
 from fractions import Fraction
 
 from . import __version__
 from .poly import Poly2
-from .qcore import QParam
+from .qcore import QParam, scalar_memo
 from .identities import Grid, IdentityReport, SUITE_ORDER, run_suite
 from .qspecial import (
     FamilySpec,
@@ -214,7 +216,19 @@ def _verify_payload(args) -> dict:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    reports = run_suite(args.suite, grid)
+    suites: dict = {}
+    memo = scalar_memo.cache_info()
+    start = time.perf_counter()
+    reports = run_suite(args.suite, grid, suites)
+    wall_s = time.perf_counter() - start
+    after = scalar_memo.cache_info()
+    # wall-clock data for the meta block only, so --no-meta output stays deterministic
+    args.timing = {
+        "wall_s": round(wall_s, 6),
+        "suites": suites,
+        "scalar_memo": {"hits": after.hits - memo.hits, "misses": after.misses - memo.misses,
+                        "size": after.currsize, "bound": after.maxsize},
+    }
     if not reports:
         raise CliError(f"suite {args.suite} checks no identity on this grid")
     verdicts = [r for r in reports if r.verdict_only]
@@ -247,6 +261,8 @@ def _limit_payload(args) -> dict:
     family = args.family
     if not family.startswith("q") or family not in KINDS:
         raise CliError("limit supports families qbernoulli and qeuler")
+    if args.n < 0:
+        raise CliError("--n must be nonnegative")
     x = _parse_fraction(args.x)
     q_seq = list(_parse_q_list(args.q_seq))
     errors = classical_limit_errors(KINDS[family], args.alpha, args.n, x, q_seq)
@@ -313,6 +329,7 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
                 "version": __version__,
                 "command": " ".join(sys.argv[1:]) if sys.argv else "",
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                **({"timing": args.timing} if "timing" in vars(args) else {}),
             },
             "payload": payload,
         }
@@ -338,10 +355,23 @@ EXIT_CODES = (
 )
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Join an option and a following value that starts with a minus sign
+    and a digit or point, so ``--q -7/3`` reads as ``--q=-7/3``; argparse
+    would take ``-7/3`` for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -22,6 +22,7 @@ before being frozen here.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -490,9 +491,10 @@ def check_exp_inverse(order: int, q_set: tuple[QParam, ...]) -> list[IdentityRep
 SUITE_ORDER = (*sorted(SUITES), "exp-inverse")
 
 
-def run_suite(name: str, grid: Grid) -> list[IdentityReport]:
+def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[IdentityReport]:
     """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order,
-    over one table cache."""
+    over one table cache.  A ``timing`` dict receives each suite's wall
+    seconds and report count, under the suite's name."""
     run = {**SUITES, "exp-inverse": lambda g, cache: check_exp_inverse(g.n_max, g.q_set)}
     if name != "all" and name not in SUITE_ORDER:
         raise KeyError(f"unknown suite {name!r}")
@@ -501,4 +503,11 @@ def run_suite(name: str, grid: Grid) -> list[IdentityReport]:
     reach = {"sp2": grid.n_max + 1, "corollaries": grid.n_max + 1,
              "alpha-zero": max(grid.n_max, 10)}
     cache = TableCache(max(reach.get(s, grid.n_max) for s in names))
-    return [r for s in names for r in run[s](grid, cache)]
+    reports = []
+    for s in names:
+        start = time.perf_counter()
+        got = run[s](grid, cache)
+        reports += got
+        if timing is not None:
+            timing[s] = {"wall_s": round(time.perf_counter() - start, 6), "reports": len(got)}
+    return reports

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Literal
 
 from .poly import Poly2, X, Y, symbolic_pair_power
-from .qcore import QParam, q_binomial, q_factorial, q_number
+from .qcore import QParam, q_binomial, q_factorial, q_number, scalar_memo
 from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
@@ -177,20 +177,21 @@ def q_stirling2(q: QParam, m: int, k: int) -> Fraction:
 
 
 def classical_stirling2(n: int, k: int) -> Fraction:
-    """Classical Stirling number of the second kind, by the recurrence
-    S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    """Classical Stirling number of the second kind, read from row n of
+    the triangle S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
     if n < 0 or k < 0:
         raise ValueError("classical_stirling2 requires n, k >= 0")
     if k > n:
         return Fraction(0)
-    row = [Fraction(1)]  # S(0, 0)
+    return scalar_memo(_stirling2_row, None, n)[k]
+
+
+def _stirling2_row(q: None, n: int) -> tuple[Fraction, ...]:
+    """Row n of the classical triangle (the memo key carries q = None)."""
+    row = [1]  # S(0, 0)
     for i in range(1, n + 1):
-        new = [Fraction(0)]
-        for j in range(1, i + 1):
-            above = row[j] if j < len(row) else Fraction(0)
-            new.append(j * above + row[j - 1])
-        row = new
-    return row[k]
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1]
+    return tuple(map(Fraction, row))
 
 
 # -- Bernstein basis and binomial coefficients -------------------------

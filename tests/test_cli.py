@@ -324,7 +324,7 @@ class TestVerify:
         assert "unrecognized arguments: --format json" in err
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
-        def broken(name, grid):
+        def broken(name, grid, timing=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(qbern.cli, "run_suite", broken)
@@ -350,6 +350,24 @@ class TestVerify:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "405145d1949b1eece9bc9ec146c4145797f364e08af118408658451d88fe27f2"
         )
+
+    def test_timing_in_meta_only(self, capsys):
+        args = ("verify", "--suite", "all", "--n-max", "2", "--alpha-set", "1",
+                "--m-set", "1", "--q-set", "1/2")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        timing = doc["meta"]["timing"]
+        assert list(timing["suites"]) == list(qbern.identities.SUITE_ORDER)
+        assert sum(s["reports"] for s in timing["suites"].values()) == doc["payload"]["total"]
+        assert all(s["wall_s"] >= 0 for s in timing["suites"].values())
+        assert timing["wall_s"] >= sum(s["wall_s"] for s in timing["suites"].values())
+        memo = timing["scalar_memo"]
+        assert memo["hits"] > 0 and memo["misses"] >= 0
+        assert 0 < memo["size"] <= memo["bound"]
+        _, out, _ = run(capsys, *args, "--no-meta")
+        assert "timing" not in out
+        assert list(json.loads(out)) == ["payload"]
 
     def test_deterministic_with_no_meta(self, capsys):
         args = (
@@ -400,12 +418,31 @@ class TestLimit:
         assert err.startswith("domain error: ")
         assert "Traceback" not in err
 
+    def test_negative_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "limit", "--family", "qeuler", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n must be nonnegative\n"
+
     def test_unsupported_family(self, capsys):
         code, _, err = run(
             capsys, "limit", "--family", "qstirling", "--n", "2", "--no-meta"
         )
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("table", "--family", "qeuler", "--n-max", "4"), ("--q", "-7/3")),
+    (("verify", "--suite", "lemma1", "--n-max", "3"), ("--q-set", "-7/3,1/2")),
+    (("limit", "--family", "qeuler", "--n", "2"), ("--x", "-1/2")),
+])
+def test_negative_value_after_a_space(capsys, argv, option):
+    # argparse alone reads "-7/3" as an option and exits 2
+    code, spaced, err = run(capsys, *argv, *option, "--no-meta")
+    assert (code, err) == (0, "")
+    _, joined, _ = run(capsys, *argv, "=".join(option), "--no-meta")
+    assert spaced == joined
 
 
 class TestSerialization:

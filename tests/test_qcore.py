@@ -1,9 +1,10 @@
 import math
+import types
 import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qbern.qcore import (
     QParam,
@@ -14,6 +15,7 @@ from qbern.qcore import (
     q_number,
     q_pair_power,
     q_shifted_factorial,
+    scalar_memo,
 )
 
 Q2 = QParam(F(1, 2))
@@ -198,3 +200,59 @@ class TestClassicalConvention:
 
     def test_pair_power(self):
         assert q_pair_power(None, F(2), F(3), 4) == 5 ** 4
+
+
+class TestScalarMemo:
+    """The public scalars read one bounded memo; these pin what it may not change."""
+
+    def test_public_scalars_are_plain_functions(self):
+        # the memo sits behind them, so they stay traceable and validate every call
+        for fn in (q_number, q_factorial, q_binomial, gauss_exponent, q_pair_power):
+            assert isinstance(fn, types.FunctionType)
+
+    def test_out_of_range_raises_after_a_cached_hit(self):
+        q = QParam(F(2, 7))
+        assert q_binomial(q, 3, 2) == q_binomial(q, 3, 2)  # the second read is a hit
+        with pytest.raises(ValueError):
+            q_binomial(q, 3, 5)
+        with pytest.raises(ValueError):
+            q_factorial(q, -1)
+
+    def test_more_q_values_than_the_bound(self):
+        bound = scalar_memo.cache_info().maxsize
+        assert bound is not None
+        for d in range(3, bound + 103):
+            q_number(QParam(F(1, d)), 2)
+        info = scalar_memo.cache_info()
+        assert info.currsize <= bound
+        # an early q was evicted, and its value is still exact when rebuilt
+        assert q_number(QParam(F(1, 3)), 2) == F(4, 3)
+
+
+def _pascal_rows(q: F, n_max: int) -> list[list[F]]:
+    """Gaussian binomials by [n k] = [n-1 k-1] + q^k [n-1 k], with no memo."""
+    rows = [[F(1)]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [F(0)]
+        rows.append([F(1)] + [prev[k - 1] + q ** k * prev[k] for k in range(1, n + 1)])
+    return rows
+
+
+# q = a/b with |a|, b <= 20, on both sides of (0, 1), never 0, 1 or -1
+random_q = st.builds(F, st.integers(-20, 20), st.integers(1, 20)).filter(
+    lambda v: v not in (0, 1, -1)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(value=random_q)
+def test_memoized_scalars_match_uncached_oracles(value):
+    n_max = 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
+        q = QParam(value)
+    for _ in range(2):  # the first pass may fill the memo, the second reads it
+        for n, row in enumerate(_pascal_rows(value, n_max)):
+            assert [q_binomial(q, n, k) for k in range(n + 1)] == row
+            product = math.prod(((1 - value ** j) / (1 - value) for j in range(1, n + 1)), start=F(1))
+            assert q_factorial(q, n) == product

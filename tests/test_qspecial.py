@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -217,6 +218,17 @@ class TestStirling:
             assert classical_stirling2(n, n) == 1
             assert classical_stirling2(n, 0) == 0
 
+    def test_classical_matches_closed_form(self):
+        # S(n, k) = (1/k!) sum_j (-1)^j C(k, j) (k - j)^n
+        for n in range(31):
+            for k in range(n + 2):
+                closed = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+                assert classical_stirling2(n, k) == F(closed, math.factorial(k))
+
+    def test_classical_deep_row_builds_without_recursion(self):
+        # a cold read of a deep row builds it iteratively
+        assert classical_stirling2(1500, 1499) == math.comb(1500, 2)
+
     def test_classical_limit_monotone(self):
         worst = F(0)
         for m in range(7):
@@ -268,8 +280,6 @@ class TestBinomialPoly:
             for j in range(7):
                 expected = 0
                 if j <= n:
-                    import math
-
                     expected = math.comb(n, j)
                 assert falling_binomial(F(n), j) == expected
 
