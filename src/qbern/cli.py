@@ -131,13 +131,15 @@ def _table_payload(args) -> dict:
     family, n_max = args.family, args.n_max
     if n_max < 0:
         raise CliError("--n-max must be nonnegative")
+    if family not in KINDS and args.alpha is not None:
+        raise CliError(f"--alpha does not apply to {family}")
     q = _q(args)
     payload: dict = {"family": family, "n_max": n_max}
     if q is not None:
         payload["q"] = str(q)
     if family in KINDS:
-        payload["alpha"] = args.alpha
-        table = family_table(FamilySpec(KINDS[family], args.alpha, q), n_max)
+        alpha = payload["alpha"] = 1 if args.alpha is None else args.alpha
+        table = family_table(FamilySpec(KINDS[family], alpha, q), n_max)
         payload["entries"] = [{"n": n, "poly": poly_terms(p)} for n, p in enumerate(table.entries)]
         return payload
     # the (n, k) triangles: q-Bernstein polynomials, or q-Stirling numbers with
@@ -298,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[output], help="emit a polynomial or number table")
     p.add_argument("--family", required=True, choices=TABLE_FAMILIES)
-    p.add_argument("--alpha", type=int, default=1)
+    p.add_argument("--alpha", type=int, default=None,
+                   help="order of the Bernoulli and Euler families (default 1)")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q", default=None, help="rational q, e.g. 1/2")
     p.add_argument("--format", default="json", choices=("json", *WRITERS))

@@ -3,12 +3,21 @@
 The term map never stores a zero coefficient, and the canonical term
 order (lexicographic in (deg_x, deg_y)) is fixed so serialized output is
 deterministic.
+
+Sums, products, substitutions and derivatives go through one integer
+kernel, ``_collect``: each contribution to a term is a numerator and a
+denominator, contributions to one term share a running lcm, and each
+term becomes a reduced ``Fraction`` once, at the end.  No ``Fraction`` is
+built per term pair.  The stored coefficients stay reduced ``Fraction``
+values, one per term, with no common denominator across terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Union
 
 from .qcore import QParam, q_binomial, q_number, gauss_exponent
 
@@ -31,16 +40,7 @@ class Poly2:
 
     def __init__(self, terms: Mapping[Key, Scalar] | Iterable[tuple[Key, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Key, Fraction] = {}
-        for (dx, dy), c in items:
-            if dx < 0 or dy < 0:
-                raise ValueError(f"negative exponent ({dx}, {dy})")
-            c = Fraction(c) + clean.get((dx, dy), 0)
-            if c:
-                clean[(dx, dy)] = c
-            else:
-                clean.pop((dx, dy), None)
-        self._terms = clean
+        self._terms = _collect(_checked(items))
 
     # -- constructors -------------------------------------------------
 
@@ -50,7 +50,7 @@ class Poly2:
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly2":
-        return cls({(0, 0): Fraction(c)})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def one(cls) -> "Poly2":
@@ -58,7 +58,10 @@ class Poly2:
 
     @classmethod
     def monomial(cls, dx: int, dy: int, c: Scalar = 1) -> "Poly2":
-        return cls({(dx, dy): Fraction(c)})
+        if dx < 0 or dy < 0:
+            raise ValueError(f"negative exponent ({dx}, {dy})")
+        c = Fraction(c)
+        return _raw({(dx, dy): c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "Poly2":
@@ -94,15 +97,7 @@ class Poly2:
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other: "Poly2 | Scalar") -> "Poly2":
-        other = _coerce(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _raw(out)
+        return _raw(_collect(_ints(_coerce(other)), self._terms))
 
     __radd__ = __add__
 
@@ -110,7 +105,7 @@ class Poly2:
         return _raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Poly2 | Scalar") -> "Poly2":
-        return self + (-_coerce(other))
+        return _raw(_collect(_ints(_coerce(other), -1), self._terms))
 
     def __rsub__(self, other: Scalar) -> "Poly2":
         return _coerce(other) - self
@@ -120,16 +115,7 @@ class Poly2:
             if not other:
                 return Poly2.zero()
             return _raw({k: c * other for k, c in self._terms.items()})
-        out: dict[Key, Fraction] = {}
-        for (ax, ay), ac in self._terms.items():
-            for (bx, by), bc in other._terms.items():
-                k = (ax + bx, ay + by)
-                s = out.get(k, 0) + ac * bc
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return _raw(out)
+        return Poly2.linear_combination(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -139,25 +125,7 @@ class Poly2:
     ) -> "Poly2":
         """The sum of c * p * r over (c, p, r) triples, accumulated in one
         term dict; p and r may each be a polynomial or a scalar."""
-        out: dict[Key, Fraction] = {}
-        get = out.get
-        for c, p, r in terms:
-            if not isinstance(p, Poly2):
-                p, r = r, p
-            if not isinstance(r, Poly2):
-                c = c * r
-                r = _ONE_TERMS
-            else:
-                r = r._terms
-            if not c:
-                continue
-            for (ax, ay), ac in _coerce(p)._terms.items():
-                if c != 1:
-                    ac = c * ac
-                for (bx, by), bc in r.items():
-                    k = (ax + bx, ay + by)
-                    out[k] = get(k, 0) + ac * bc
-        return _raw({k: v for k, v in out.items() if v})
+        return _raw(_collect(_products(terms)))
 
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
@@ -206,18 +174,11 @@ class Poly2:
         """Partial evaluation: fix one variable to a constant."""
         i = _var_index(var)
         value = Fraction(value)
-        out: dict[Key, Fraction] = {}
-        for k, c in self._terms.items():
-            c = c * value ** k[i]
-            if not c:
-                continue
-            nk = (0, k[1]) if i == 0 else (k[0], 0)
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-        return _raw(out)
+        vn, vd = value.numerator, value.denominator
+        return _raw(_collect(
+            (_at(k, i, 0), c.numerator * vn ** k[i], c.denominator * vd ** k[i])
+            for k, c in self._terms.items()
+        ))
 
     def scale_var(self, var: str, c: Scalar) -> "Poly2":
         """Rescale one variable: v -> c * v."""
@@ -225,7 +186,11 @@ class Poly2:
         c = Fraction(c)
         if not c:
             return self.substitute(var, 0)
-        return _raw({k: coef * c ** k[i] for k, coef in self._terms.items()})
+        cn, cd = c.numerator, c.denominator
+        return _raw(_collect(
+            (k, coef.numerator * cn ** k[i], coef.denominator * cd ** k[i])
+            for k, coef in self._terms.items()
+        ))
 
     def compose(self, var: str, replacement: "Poly2") -> "Poly2":
         """Substitute a whole polynomial for one variable."""
@@ -246,19 +211,10 @@ class Poly2:
         (f(qv) - f(v)) / (qv - v) on polynomials.
         """
         i = _var_index(var)
-        out: dict[Key, Fraction] = {}
-        for k, c in self._terms.items():
-            d = k[i]
-            if d == 0:
-                continue
-            c = c * q_number(q, d)
-            nk = (d - 1, k[1]) if i == 0 else (k[0], d - 1)
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-        return _raw(out)
+        return _raw(_collect(
+            (_at(k, i, k[i] - 1), c.numerator * w.numerator, c.denominator * w.denominator)
+            for k, c in self._terms.items() if k[i] and (w := q_number(q, k[i]))
+        ))
 
 
 def _coerce(v: "Poly2 | Scalar") -> Poly2:
@@ -273,7 +229,83 @@ def _raw(terms: dict[Key, Fraction]) -> Poly2:
     return p
 
 
-_ONE_TERMS = {(0, 0): Fraction(1)}
+def _at(k: Key, i: int, d: int) -> Key:
+    """The key ``k`` with its degree in variable ``i`` set to ``d``."""
+    return (d, k[1]) if i == 0 else (k[0], d)
+
+
+_NO_TERMS: Mapping[Key, Fraction] = MappingProxyType({})
+
+
+def _collect(
+    contributions: Iterable[tuple[Key, int, int]], base: Mapping[Key, Fraction] = _NO_TERMS
+) -> dict[Key, Fraction]:
+    """The term dict of ``base`` plus (key, numerator, denominator) contributions.
+
+    Denominators are positive.  Each key keeps one running numerator over
+    the lcm of its denominators: a plain add when the denominators are
+    equal, one gcd otherwise.  Each key a contribution reaches is reduced
+    once, at the end, and dropped if it sums to zero; the other terms of
+    ``base`` are kept as they are.
+    """
+    acc: dict[Key, list[int]] = {}
+    get = acc.get
+    for k, n, d in contributions:
+        e = get(k)
+        if e is None:
+            c = base.get(k)
+            if c is None:
+                acc[k] = [n, d]
+                continue
+            e = acc[k] = [c.numerator, c.denominator]
+        if e[1] == d:
+            e[0] += n
+        else:
+            g = gcd(e[1], d)
+            e[0] = e[0] * (d // g) + n * (e[1] // g)
+            e[1] = e[1] // g * d
+    out = {k: c for k, c in base.items() if k not in acc}
+    for k, (n, d) in acc.items():
+        if n:
+            out[k] = Fraction(n, d)
+    return out
+
+
+def _ints(p: Poly2, sign: int = 1) -> Iterator[tuple[Key, int, int]]:
+    """The terms of ``sign * p`` as contributions."""
+    return ((k, sign * c.numerator, c.denominator) for k, c in p._terms.items())
+
+
+def _checked(items: Iterable[tuple[Key, Scalar]]) -> Iterator[tuple[Key, int, int]]:
+    """Constructor input as contributions, rejecting negative exponents."""
+    for (dx, dy), c in items:
+        if dx < 0 or dy < 0:
+            raise ValueError(f"negative exponent ({dx}, {dy})")
+        c = Fraction(c)
+        yield (dx, dy), c.numerator, c.denominator
+
+
+def _products(
+    terms: Iterable[tuple[Scalar, "Poly2 | Scalar", "Poly2 | Scalar"]]
+) -> Iterator[tuple[Key, int, int]]:
+    """Every term pair of every c * p * r as one contribution."""
+    for c, p, r in terms:
+        if not isinstance(p, Poly2):
+            p, r = r, p
+        cn, cd = c.numerator, c.denominator
+        if isinstance(r, Poly2):
+            rs = [(bx, by, bc.numerator, bc.denominator) for (bx, by), bc in r._terms.items()]
+        else:
+            cn, cd = cn * r.numerator, cd * r.denominator
+            rs = [(0, 0, 1, 1)]
+        if not cn:
+            continue
+        for (ax, ay), ac in _coerce(p)._terms.items():
+            an, ad = cn * ac.numerator, cd * ac.denominator
+            for bx, by, bn, bd in rs:
+                yield (ax + bx, ay + by), an * bn, ad * bd
+
+
 X = Poly2.var("x")
 Y = Poly2.var("y")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,9 +45,13 @@ class QParam:
     """
 
     value: Fraction
+    # hashed once: every memo read hashes q, and Fraction hashing computes a
+    # modular inverse on each call
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "_hash", hash(self.value))
         if self.value == 1:
             raise QParamError("q = 1 is excluded: q-integers divide by 1 - q")
         if self.value == 0:
@@ -65,6 +69,9 @@ class QParam:
     def in_principal_range(self) -> bool:
         """True when 0 < q < 1."""
         return 0 < self.value < 1
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def power(self, k: int) -> Fraction:
         return self.value ** k
@@ -100,11 +107,13 @@ def q_factorial(q: QParam | None, n: int) -> Fraction:
 
 
 def _q_factorial(q: QParam | None, n: int) -> Fraction:
+    # each [k] is computed here, not read through the memo, so that one deep
+    # factorial does not fill the memo with n q-integers
     if q is None:
         return Fraction(math.factorial(n))
     out = Fraction(1)
     for k in range(1, n + 1):
-        out *= q_number(q, k)
+        out *= _q_number(q, k)
     return out
 
 

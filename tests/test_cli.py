@@ -10,7 +10,7 @@ import pytest
 
 import qbern
 import qbern.cli
-from qbern.cli import main, poly_from_terms, poly_latex, poly_terms
+from qbern.cli import KINDS, main, poly_from_terms, poly_latex, poly_terms
 from qbern.poly import Poly2, X, Y
 from qbern.qcore import QParam
 from qbern.qspecial import q_bernoulli_table
@@ -151,11 +151,31 @@ class TestTable:
         outputs = []
         for family in ("qbernoulli", "qeuler", "qstirling", "qbernstein",
                        "classical-bernoulli", "classical-euler", "stirling2"):
-            code, out, _ = run(capsys, "table", "--family", family, "--alpha", "2",
+            alpha = ("--alpha", "2") if family in KINDS else ()
+            code, out, _ = run(capsys, "table", "--family", family, *alpha,
                                "--n-max", "4", "--q=-7/3", "--format", fmt, "--no-meta")
             assert code == 0
             outputs.append(out)
         assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family", ["qstirling", "qbernstein", "stirling2"])
+    def test_alpha_is_usage_error_where_it_does_not_apply(self, capsys, family):
+        code, out, err = run(capsys, "table", "--family", family, "--alpha", "1",
+                             "--n-max", "2", "--q", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --alpha does not apply to {family}\n"
+
+    @pytest.mark.parametrize("family", list(KINDS))
+    def test_alpha_defaults_to_one(self, capsys, family):
+        # --q is required by the q families and accepted by the classical ones
+        argv = ("table", "--family", family, "--n-max", "3", "--q", "1/2", "--no-meta")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["payload"]["alpha"] == 1
+        assert run(capsys, *argv, "--alpha", "1") == (0, out, "")
+        if not family.startswith("q"):
+            assert run(capsys, *argv[:-3], "--no-meta") == (0, out, "")
 
     def test_latex(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import qbern.poly
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern.qcore import QParam, q_number, q_pair_power
 
@@ -160,3 +162,98 @@ def test_linear_combination_matches_repeated_addition(terms):
     got = Poly2.linear_combination(terms)
     assert got == expected
     assert all(coeff for _, coeff in got.terms())  # no stored zeros
+
+
+# -- the integer kernel against plain Fraction arithmetic -------------------
+
+# coefficients up to 10**30 over unrelated denominators, mixed with small
+# numerators over a few shared denominators, so that contributions meet
+# both with equal and with different denominators
+wide_fractions = st.one_of(
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    st.builds(F, st.integers(-50, 50), st.sampled_from([1, 3, 7, 21, 3**20])),
+)
+Q_WIDE = QParam(F(10**30 - 7, 10**30 + 1))
+
+
+@st.composite
+def overlapping_terms(draw):
+    """Two term dicts on overlapping keys; some terms of the second cancel
+    the first's, and zero coefficients may occur in either."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8, unique=True))
+    a = {k: draw(wide_fractions) for k in keys}
+    b = {}
+    for k in keys:
+        kind = draw(st.sampled_from(["cancel", "other", "absent"]))
+        if kind == "cancel":
+            b[k] = -a[k]
+        elif kind == "other":
+            b[k] = draw(wide_fractions)
+    for k in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4)):
+        b.setdefault(k, draw(wide_fractions))
+    return a, b
+
+
+def fraction_sum(contributions):
+    """The term dict of a sum of (key, Fraction) pairs, one Fraction add at a time."""
+    out = {}
+    for k, c in contributions:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def fraction_products(triples):
+    """The (key, Fraction) pairs of sum c * p * r over term dicts p and r."""
+    return [((ax + bx, ay + by), c * ac * bc)
+            for c, p, r in triples
+            for (ax, ay), ac in p.items() for (bx, by), bc in r.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ab=overlapping_terms(), w=wide_fractions, v=wide_fractions, var=st.sampled_from(["x", "y"]))
+def test_kernel_matches_fraction_arithmetic(ab, w, v, var):
+    ta, tb = ab
+    a, b = Poly2(ta), Poly2(tb)
+    i = "xy".index(var)
+
+    def moved(k, d):
+        return (d, k[1]) if i == 0 else (k[0], d)
+
+    neg_b = {k: -c for k, c in tb.items()}
+    q = Q_WIDE.value
+    cases = [
+        (a + b, fraction_sum([*ta.items(), *tb.items()])),
+        (a - b, fraction_sum([*ta.items(), *neg_b.items()])),
+        (a - w, fraction_sum([*ta.items(), ((0, 0), -w)])),
+        (Poly2.linear_combination([(w, a, b), (v, b, b), (1, a, w), (-w, b, a)]),
+         fraction_sum(fraction_products([(w, ta, tb), (v, tb, tb), (w, ta, {(0, 0): 1}),
+                                         (-w, tb, ta)]))),
+        (a * b, fraction_sum(fraction_products([(1, ta, tb)]))),
+        (a.substitute(var, v), fraction_sum((moved(k, 0), c * v ** k[i]) for k, c in ta.items())),
+        (a.scale_var(var, v), fraction_sum((k, c * v ** k[i]) for k, c in ta.items())),
+        (a.jackson(var, Q_WIDE),
+         fraction_sum((moved(k, k[i] - 1), c * (1 - q ** k[i]) / (1 - q))
+                      for k, c in ta.items() if k[i])),
+    ]
+    for got, expected in cases:
+        assert got._terms == expected
+        for c in got._terms.values():
+            # stored coefficients are nonzero Fractions in lowest terms
+            assert type(c) is F
+            assert c != 0
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+def test_equal_denominators_are_added_without_gcd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qbern.poly, "gcd", lambda m, n: calls.append((m, n)) or math.gcd(m, n))
+    d = 3 ** 20
+    a = Poly2({(i, 0): F(3 * i + 1, d) for i in range(5)})
+    b = Poly2({(i, 0): F(3 * i - 1, d) for i in range(5)})
+    assert (a + b)._terms == {(i, 0): F(6 * i, d) for i in range(1, 5)}
+    assert (a - b)._terms == {(i, 0): F(2, d) for i in range(5)}
+    assert Poly2.linear_combination([(1, a, Y), (-1, b, Y)])._terms == {(i, 1): F(2, d) for i in range(5)}
+    assert calls == []
+    # a second, different denominator costs one gcd
+    assert (a + F(1, 2)).constant_term() == F(1, d) + F(1, 2)
+    assert len(calls) == 1

@@ -42,6 +42,16 @@ class TestQParam:
             warnings.simplefilter("ignore")
             assert not QParam(F(3, 2)).in_principal_range
 
+    def test_hash_and_equality_follow_the_value(self, monkeypatch):
+        a, b = QParam(F(1, 2)), QParam(F(2, 4))
+        assert a == b and hash(a) == hash(b)
+        assert a != QParam(F(1, 3))
+        # the hash is computed once, at construction; memo reads do not rehash the Fraction
+        calls = []
+        monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or 0)
+        assert hash(a) == hash(b)
+        assert calls == []
+
     def test_warns_outside_unit_interval(self):
         with pytest.warns(UserWarning):
             QParam(F(-1, 2))
@@ -217,6 +227,16 @@ class TestScalarMemo:
             q_binomial(q, 3, 5)
         with pytest.raises(ValueError):
             q_factorial(q, -1)
+
+    def test_deep_factorial_keeps_its_q_integers_out(self):
+        q = QParam(F(23, 29))
+        q_binomial(q, 3, 1)
+        before = scalar_memo.cache_info()
+        q_binomial(q, 300, 140)  # cold: [300]!, [140]!, [160]! and the binomial
+        after = scalar_memo.cache_info()
+        assert after.misses - before.misses <= 4
+        q_binomial(q, 3, 1)  # read before the deep call, still held
+        assert scalar_memo.cache_info().hits == after.hits + 1
 
     def test_more_q_values_than_the_bound(self):
         bound = scalar_memo.cache_info().maxsize
