@@ -18,10 +18,6 @@ from .series import Series, Eq_series, eq_series
 from .qspecial import (
     FamilySpec,
     PolyTable,
-    classical_bernoulli_poly,
-    classical_bernoulli_table,
-    classical_euler_poly,
-    classical_euler_table,
     classical_limit_errors,
     classical_stirling2,
     family_table,
@@ -65,10 +61,6 @@ __all__ = [
     "q_stirling2",
     "classical_stirling2",
     "q_bernstein",
-    "classical_bernoulli_table",
-    "classical_euler_table",
-    "classical_bernoulli_poly",
-    "classical_euler_poly",
     "classical_limit_errors",
     "is_monotone_decreasing",
     "default_grid",

@@ -91,9 +91,6 @@ class Poly2:
         """Terms in canonical (deg_x, deg_y) lexicographic order."""
         return sorted(self._terms.items())
 
-    def coefficient(self, dx: int, dy: int) -> Fraction:
-        return self._terms.get((dx, dy), Fraction(0))
-
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other: "Poly2 | Scalar") -> "Poly2":
@@ -310,7 +307,7 @@ X = Poly2.var("x")
 Y = Poly2.var("y")
 
 
-def symbolic_pair_power(q: QParam, n: int) -> Poly2:
+def symbolic_pair_power(q: QParam | None, n: int) -> Poly2:
     """The q-analogue of (x + y)^n as a polynomial.
 
     Sum over k of [n choose k] q^{k(k-1)/2} x^{n-k} y^k.

@@ -1,9 +1,8 @@
 """The special-function families.
 
-Generalized Bernoulli and Euler polynomials of integer order (in the
-q-deformed and classical flavours), Stirling numbers of the second kind
-(q and classical), the Phillips q-Bernstein basis, and the generalized
-binomial coefficient with a rational upper argument.
+Generalized Bernoulli and Euler polynomials of integer order,
+Stirling numbers of the second kind and the Phillips q-Bernstein basis.
+Each takes q = None for its classical (q -> 1) flavour.
 
 Tables are built once from their generating functions; independent
 triangular recurrences for the number sequences act as anti-bug oracles
@@ -12,14 +11,13 @@ triangular recurrences for the number sequences act as anti-bug oracles
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Literal
 
 from .poly import Poly2, X, Y, symbolic_pair_power
-from .qcore import QParam, q_binomial, q_factorial, q_number, scalar_memo
+from .qcore import QParam, q_binomial, q_factorial, scalar_memo
 from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
@@ -95,29 +93,6 @@ def q_euler_table(q: QParam, alpha: int, max_n: int) -> PolyTable:
     return family_table(FamilySpec("q_euler", alpha, q), max_n)
 
 
-def classical_bernoulli_table(alpha: int, max_n: int) -> PolyTable:
-    """Classical order-alpha Bernoulli polynomials, bivariate in (x + y).
-
-    Entry n is B_n^{(alpha)}(x + y) expanded as a polynomial; substitute
-    y = 0 for the usual univariate polynomial.
-    """
-    return family_table(FamilySpec("q_bernoulli", alpha, None), max_n)
-
-
-def classical_euler_table(alpha: int, max_n: int) -> PolyTable:
-    return family_table(FamilySpec("q_euler", alpha, None), max_n)
-
-
-def classical_bernoulli_poly(n: int, alpha: int = 1) -> Poly2:
-    """B_n^{(alpha)}(x) as a polynomial in x."""
-    return classical_bernoulli_table(alpha, n)[n].substitute("y", 0)
-
-
-def classical_euler_poly(n: int, alpha: int = 1) -> Poly2:
-    """E_n^{(alpha)}(x) as a polynomial in x."""
-    return classical_euler_table(alpha, n)[n].substitute("y", 0)
-
-
 def q_number_sequence(spec: FamilySpec, max_n: int) -> list[Fraction]:
     """The number sequence: table entries evaluated at (0, 0)."""
     return list(family_table(spec, max_n).num)
@@ -159,7 +134,7 @@ def q_euler_numbers_recurrence(q: QParam, max_n: int) -> list[Fraction]:
 # -- Stirling numbers ------------------------------------------------
 
 
-def q_stirling2(q: QParam, m: int, k: int) -> Fraction:
+def q_stirling2(q: QParam | None, m: int, k: int) -> Fraction:
     """q-Stirling number of the second kind.
 
     [m]! times the t^m coefficient of (e(t) - 1)^k / [k]!.
@@ -194,34 +169,16 @@ def _stirling2_row(q: None, n: int) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, row))
 
 
-# -- Bernstein basis and binomial coefficients -------------------------
+# -- Bernstein basis ------------------------------------------------
 
 
-def q_bernstein(q: QParam, n: int, k: int) -> Poly2:
+def q_bernstein(q: QParam | None, n: int, k: int) -> Poly2:
     """Phillips q-Bernstein basis polynomial x^k (1 - x)^{n-k}_q, in x."""
     if not 0 <= k <= n:
         raise ValueError(f"q_bernstein requires 0 <= k <= n, got n={n}, k={k}")
     # fix the first slot to 1 before rewriting the second slot as -x
     pair = symbolic_pair_power(q, n - k).substitute("x", 1).compose("y", -X)
     return Poly2.monomial(k, 0, 1) * pair
-
-
-def classical_bernstein(n: int, k: int) -> Poly2:
-    """Classical Bernstein basis polynomial x^k (1 - x)^{n-k}."""
-    if not 0 <= k <= n:
-        raise ValueError(f"classical_bernstein requires 0 <= k <= n")
-    return Poly2.monomial(k, 0, 1) * (Poly2.one() - X) ** (n - k)
-
-
-def falling_binomial(z: Fraction, j: int) -> Fraction:
-    """Binomial coefficient with arbitrary rational upper argument."""
-    if j < 0:
-        raise ValueError("falling_binomial requires j >= 0")
-    z = Fraction(z)
-    out = Fraction(1)
-    for i in range(j):
-        out *= z - i
-    return out / math.factorial(j)
 
 
 # -- classical-limit studies -----------------------------------------

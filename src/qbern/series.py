@@ -51,14 +51,6 @@ class Series:
 
     # -- arithmetic (results truncate to the smaller order) -----------
 
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
     def __mul__(self, other: "Series | Fraction | int") -> "Series":
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs])

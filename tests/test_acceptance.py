@@ -11,15 +11,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from qbern.cli import main, poly_from_terms
+from qbern.cli import main, poly_terms
 from qbern.identities import Grid, check_exp_inverse, default_grid, run_suite
 from qbern.poly import Poly2, symbolic_pair_power
 from qbern.qcore import QParam, q_binomial, q_number
 from qbern.qspecial import (
     FamilySpec,
-    classical_bernstein,
     classical_limit_errors,
-    falling_binomial,
     is_monotone_decreasing,
     q_bernoulli_numbers_recurrence,
     q_bernoulli_table,
@@ -143,9 +141,7 @@ def test_acceptance_08_bernstein_representation_and_limit():
     x0 = F(1, 3)
     for n in range(1, 6):
         for k in range(n + 1):
-            classical = falling_binomial(F(n), k) * classical_bernstein(n, k).evaluate(
-                x0, 0
-            )
+            classical = q_binomial(None, n, k) * q_bernstein(None, n, k).evaluate(x0, 0)
             errs = [
                 abs(
                     q_binomial(q, n, k) * q_bernstein(q, n, k).evaluate(x0, 0)
@@ -212,5 +208,5 @@ def test_acceptance_11_cli_determinism_and_round_trip(capsys):
     assert first == second
     table = q_bernoulli_table(QParam(F(1, 2)), 2, 6)
     for entry in json.loads(first)["payload"]["entries"]:
-        assert poly_from_terms(entry["poly"]) == table[entry["n"]]
+        assert entry["poly"] == poly_terms(table[entry["n"]])
     _announce(11)

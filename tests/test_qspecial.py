@@ -11,12 +11,8 @@ from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern.qcore import QParam, q_binomial, q_number, gauss_exponent
 from qbern.qspecial import (
     FamilySpec,
-    classical_bernoulli_poly,
-    classical_bernstein,
-    classical_euler_poly,
     classical_limit_errors,
     classical_stirling2,
-    falling_binomial,
     family_table,
     is_monotone_decreasing,
     q_bernoulli_numbers_recurrence,
@@ -172,29 +168,34 @@ class TestAlphaStructure:
             assert conv == (1 if n == 0 else 0)
 
 
+def classical_poly(kind, n):
+    """Entry n of the q = None table at y = 0: the classical polynomial in x."""
+    return family_table(FamilySpec(kind, 1, None), n)[n].substitute("y", 0)
+
+
 class TestClassicalPolynomials:
     def test_order_zero(self):
-        assert classical_bernoulli_poly(0) == Poly2.one()
-        assert classical_euler_poly(0) == Poly2.one()
+        assert classical_poly("q_bernoulli", 0) == Poly2.one()
+        assert classical_poly("q_euler", 0) == Poly2.one()
 
     def test_bernoulli_two(self):
-        assert classical_bernoulli_poly(2) == X**2 - X + F(1, 6)
+        assert classical_poly("q_bernoulli", 2) == X**2 - X + F(1, 6)
 
     def test_euler_one(self):
-        assert classical_euler_poly(1) == X - F(1, 2)
+        assert classical_poly("q_euler", 1) == X - F(1, 2)
 
     def test_classical_recurrences(self):
         # sum_{k<m} C(m,k) B_k = 0 and the Euler analogue
-        bn = [classical_bernoulli_poly(n).evaluate(0, 0) for n in range(9)]
+        bn = [classical_poly("q_bernoulli", n).evaluate(0, 0) for n in range(9)]
         for m in range(2, 9):
-            assert sum(falling_binomial(m, k) * bn[k] for k in range(m)) == 0
-        en = [classical_euler_poly(n).evaluate(0, 0) for n in range(9)]
+            assert sum(math.comb(m, k) * bn[k] for k in range(m)) == 0
+        en = [classical_poly("q_euler", n).evaluate(0, 0) for n in range(9)]
         for m in range(1, 9):
-            acc = sum(falling_binomial(m, k) * en[k] for k in range(m))
+            acc = sum(math.comb(m, k) * en[k] for k in range(m))
             assert acc + 2 * en[m] == 0
         # equivalent form: sum_{k<=m} C(m,k) e_k + e_m = 0 for m >= 1
         for m in range(1, 9):
-            assert sum(falling_binomial(m, k) * en[k] for k in range(m + 1)) + en[m] == 0
+            assert sum(math.comb(m, k) * en[k] for k in range(m + 1)) + en[m] == 0
 
 
 class TestStirling:
@@ -243,6 +244,11 @@ class TestStirling:
         # provisional desk guess of 1e-2 was off by a factor of ~35
         assert worst <= F(36, 10)
 
+    @pytest.mark.parametrize("n", range(12))
+    def test_series_path_matches_triangle_at_q_none(self, n):
+        for k in range(n + 1):
+            assert q_stirling2(None, n, k) == classical_stirling2(n, k)
+
 
 class TestBernstein:
     def test_top_index(self):
@@ -260,28 +266,12 @@ class TestBernstein:
             q_bernstein(Q2, 2, 3)
 
     def test_classical_flavour(self):
-        assert classical_bernstein(3, 1) == X * (1 - X) ** 2
+        assert q_bernstein(None, 3, 1) == X * (1 - X) ** 2
 
-
-class TestBinomialPoly:
-    # falling_binomial(z, j) is the binomial polynomial z (z-1) ... (z-j+1) / j!
-    # evaluated at a rational z
-    def test_degree_zero(self):
-        assert falling_binomial(F(-7, 3), 0) == 1
-
-    def test_degree_one(self):
-        assert falling_binomial(F(-7, 3), 1) == F(-7, 3)
-
-    def test_half_at_two(self):
-        assert falling_binomial(F(1, 2), 2) == F(-1, 8)
-
-    def test_integer_agreement(self):
-        for n in range(7):
-            for j in range(7):
-                expected = 0
-                if j <= n:
-                    expected = math.comb(n, j)
-                assert falling_binomial(F(n), j) == expected
+    @pytest.mark.parametrize("n", range(12))
+    def test_q_none_is_the_classical_basis(self, n):
+        for k in range(n + 1):
+            assert q_bernstein(None, n, k) == X**k * (1 - X) ** (n - k)
 
 
 class TestClassicalLimit:
