@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import __version__
 from .poly import Poly2
 from .qcore import QParam, scalar_memo
-from .identities import Grid, IdentityReport, SUITE_ORDER, run_suite
+from .identities import Grid, IdentityReport, SUITE_ORDER, default_grid, run_suite
 from .qspecial import (
     FamilySpec,
     classical_limit_errors,
@@ -302,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[output], help="run an identity suite over a grid")
     p.add_argument("--suite", required=True, choices=(*SUITE_ORDER, "all"))
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--alpha-set", default="1,2,3")
-    p.add_argument("--m-set", default="1,2,3")
-    p.add_argument("--q-set", default="1/2,1/3,3/4")
+    grid = default_grid()
+    p.add_argument("--n-max", type=int, default=grid.n_max)
+    for flag, values in (("--alpha-set", grid.alpha_set), ("--m-set", grid.m_set),
+                         ("--q-set", grid.q_set)):
+        p.add_argument(flag, default=",".join(map(str, values)))
 
     p = sub.add_parser("limit", parents=[output], help="classical-limit error study")
     p.add_argument("--family", required=True, choices=("qbernoulli", "qeuler"))

@@ -274,30 +274,6 @@ def _stirling_rhs(c: Point) -> Poly2:
                                     for r in range(n + 2) for j in range(n + 1))
 
 
-def _classical_c2_2(c: Point) -> Poly2:
-    B, E, m = c.B, c.E, c.m
-
-    def bracket(k):
-        # m^k (B_k(x) + B_k(x - 1 + 1/m)) + k m (1 - m + m x)^{k-1}
-        out = m ** k * (B.y0[k] + B[k].substitute("y", Fraction(1, m) - 1))
-        return out + k * m * (Poly2.const(1 - m) + m * X) ** (k - 1) if k else out
-
-    rhs = qconv(None, c.n, bracket, lambda i: E.x0[i].scale_var("y", m))
-    return rhs * Fraction(1, 2 * m ** c.n)
-
-
-def _classical_euler_c2_2(c: Point) -> Poly2:
-    B, E, m = c.B, c.E, Fraction(c.m)
-    s = (1 - m) / m
-
-    def bracket(k):
-        # 2 (x + s)^{k+1} - E_{k+1}(x + s) - E_{k+1}(x)
-        return 2 * (X + s) ** (k + 1) - E[k + 1].substitute("y", s) - E.y0[k + 1]
-
-    return qconv(None, c.n, bracket, lambda i: B.x0[i].scale_var("y", m),
-                 lambda k: m ** (k - c.n + 1) / (k + 1))
-
-
 # -- identity definitions and suites ---------------------------------
 
 # An axis is (report key, values given the grid and the values bound so far).
@@ -311,6 +287,7 @@ ALPHA = ("alpha", lambda g, p: [a for a in g.alpha_set if a >= 1])
 ALPHA0 = ("alpha", lambda g, p: g.alpha_set)
 M = ("m", lambda g, p: g.m_set)
 Q = ("q", lambda g, p: g.q_set)
+ORDER = ("order", lambda g, p: (g.n_max,))
 
 
 @dataclass(frozen=True)
@@ -430,9 +407,10 @@ check_sp2 = _suite(
 check_corollaries = _suite(
     "corollaries", "The theorems at order one with the order-zero polynomials written out "
     "as pair powers, the Cheon-type expansions, and classical forms.",
-    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.pair_ym1)),
+    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.pair_ym1), "classical-c2-2"),
     ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.ey)),
-    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.pair_ym1)),
+    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.pair_ym1),
+     "classical-euler-c2-2"),
     ("cw1", (N, Q), lambda c: c.B[c.n],
      lambda c: qconv(c.q, c.n, lambda k: c.B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)
                      if k else c.B.x0[0], c.E.y0),
@@ -445,8 +423,6 @@ check_corollaries = _suite(
      "classical-euler-c2-1"),
     ("euler-c4-x", (N, Q), lambda c: c.E.y0[c.n], lambda c: _euler_c4(c, c.B.y0)),
     ("euler-c4-y", (N, Q), lambda c: c.E.x0[c.n], lambda c: _euler_c4(c, c.B.x0)),
-    ("classical-c2-2", (N, M), lambda c: c.B[c.n], _classical_c2_2),
-    ("classical-euler-c2-2", (N, M), lambda c: c.E[c.n], _classical_euler_c2_2),
 )
 check_stirling_theorem = _suite(
     "stirling-theorem", "The unproven mixed classical-Stirling expansion (verdict only): both\n"
@@ -474,29 +450,26 @@ check_alpha_zero = _suite(
 )
 
 
-def check_exp_inverse(order: int, q_set: tuple[QParam, ...]) -> list[IdentityReport]:
-    """e(t) E(-t) = 1, coefficient by coefficient; the residual polynomial
-    encodes the t-exponent in the x-degree slot."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    reports = []
-    for q in q_set:
-        prod = eq_series(q, 1, order) * Eq_series(q, -1, order)
-        lhs = Poly2.linear_combination((1, c, _x(n)) for n, c in enumerate(prod.coeffs))
-        reports.append(_report("exp-inverse", lhs, Poly2.one(), order=order, q=q))
-    return sorted(reports, key=IdentityReport.sort_key)
+check_exp_inverse = _suite(
+    "exp-inverse", "e(t) E(-t) = 1, coefficient by coefficient; the residual polynomial\n"
+    "encodes the t-exponent in the x-degree slot.",
+    ("exp-inverse", (ORDER, Q),
+     lambda c: Poly2.linear_combination(
+         (1, a, _x(n)) for n, a in enumerate(
+             (eq_series(c.q, 1, c.order) * Eq_series(c.q, -1, c.order)).coeffs)),
+     lambda c: Poly2.one()),
+)
 
 
 # The run order of ``all``: every suite in name order, then exp-inverse.
-SUITE_ORDER = (*sorted(SUITES), "exp-inverse")
+SUITE_ORDER = (*sorted(set(SUITES) - {"exp-inverse"}), "exp-inverse")
 
 
 def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[IdentityReport]:
     """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order,
     over one table cache.  A ``timing`` dict receives each suite's wall
     seconds and report count, under the suite's name."""
-    run = {**SUITES, "exp-inverse": lambda g, cache: check_exp_inverse(g.n_max, g.q_set)}
-    if name != "all" and name not in SUITE_ORDER:
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_ORDER if name == "all" else (name,)
     # the deepest table index each suite reads
@@ -506,7 +479,7 @@ def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[Identit
     reports = []
     for s in names:
         start = time.perf_counter()
-        got = run[s](grid, cache)
+        got = SUITES[s](grid, cache)
         reports += got
         if timing is not None:
             timing[s] = {"wall_s": round(time.perf_counter() - start, 6), "reports": len(got)}

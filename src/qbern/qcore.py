@@ -118,7 +118,7 @@ def _q_factorial(q: QParam | None, n: int) -> Fraction:
 
 
 def q_binomial(q: QParam | None, n: int, k: int) -> Fraction:
-    """Gaussian binomial coefficient, as a ratio of q-factorials.
+    """Gaussian binomial coefficient [n k] = prod_{j=1}^{k} [n-k+j] / [j].
 
     Out-of-range (k < 0 or k > n) is an error on purpose: silent zeros
     hide index bugs in identity checkers.
@@ -129,7 +129,17 @@ def q_binomial(q: QParam | None, n: int, k: int) -> Fraction:
 
 
 def _q_binomial(q: QParam | None, n: int, k: int) -> Fraction:
-    return q_factorial(q, n) / (q_factorial(q, k) * q_factorial(q, n - k))
+    k = min(k, n - k)
+    if q is None:
+        return Fraction(math.comb(n, k))
+    # with q = c/d, the product of the first j ratios times d^{j(n-k)} is
+    # an integer (a homogenized Gaussian binomial), so each step divides
+    # exactly and the numbers stay near the size of the result
+    c, d = q.value.numerator, q.value.denominator
+    num = 1
+    for j in range(1, k + 1):
+        num = num * (d ** (n - k + j) - c ** (n - k + j)) // (d ** j - c ** j)
+    return Fraction(num, d ** (k * (n - k)))
 
 
 def q_shifted_factorial(q: QParam, a: Fraction, n: int) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from qbern.cli import main, poly_terms
-from qbern.identities import Grid, check_exp_inverse, default_grid, run_suite
+from qbern.identities import Grid, default_grid, run_suite
 from qbern.poly import Poly2, symbolic_pair_power
 from qbern.qcore import QParam, q_binomial, q_number
 from qbern.qspecial import (
@@ -59,7 +59,7 @@ def test_acceptance_02_series_vs_recurrence_oracles():
 
 def test_acceptance_03_exponential_inverse_pair():
     start = time.monotonic()
-    reports = check_exp_inverse(16, QS)
+    reports = run_suite("exp-inverse", Grid(16, (1,), (1,), QS))
     elapsed = time.monotonic() - start
     assert len(reports) == 3
     assert all(r.passed for r in reports)

@@ -11,6 +11,7 @@ import pytest
 import qbern
 import qbern.cli
 from qbern.cli import KINDS, main, poly_latex, poly_terms
+from qbern.identities import default_grid
 from qbern.poly import Poly2, X, Y
 from qbern.qcore import QParam
 from qbern.qspecial import q_bernoulli_table
@@ -264,6 +265,17 @@ class TestVerify:
         assert payload["failures"] == 0
         assert payload["total"] == 3
         assert all(r["pass"] for r in payload["reports"])
+
+    def test_grid_flags_default_to_the_default_grid(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "lemma4", "--no-meta")
+        assert code == 0
+        grid = default_grid()
+        assert json.loads(out)["payload"]["grid"] == {
+            "n_max": grid.n_max,
+            "alpha_set": list(grid.alpha_set),
+            "m_set": list(grid.m_set),
+            "q_set": [str(q) for q in grid.q_set],
+        }
 
     def test_small_lemma_grid(self, capsys):
         code, out, _ = run(

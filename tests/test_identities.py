@@ -9,7 +9,6 @@ from qbern import identities
 from qbern.identities import (
     CORRECTIONS,
     Grid,
-    check_exp_inverse,
     default_grid,
     run_suite,
 )
@@ -81,7 +80,7 @@ def test_stirling_theorem_produces_verdict_not_gate():
 
 def test_exp_inverse_to_order_sixteen():
     qs = (QParam(F(1, 2)), QParam(F(1, 3)), QParam(F(3, 4)))
-    reports = check_exp_inverse(16, qs)
+    reports = run_suite("exp-inverse", Grid(16, (1,), (1,), qs))
     assert len(reports) == len(qs)
     assert all(r.passed for r in reports)
 

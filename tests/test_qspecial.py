@@ -274,6 +274,38 @@ class TestBernstein:
             assert q_bernstein(None, n, k) == X**k * (1 - X) ** (n - k)
 
 
+@settings(max_examples=15, deadline=None)
+@given(value=random_q)
+def test_q_stirling2_matches_its_recurrence(value):
+    # (e(t) - 1)^k / [k]! = (e(t) - 1) / [k] times the k - 1 function gives
+    # S_q(m, k) = (1/[k]) sum_{j<m} [m j] S_q(j, k - 1), with no series
+    size = 9
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
+        q = QParam(value)
+    rows = [[F(m == 0) for m in range(size)]]  # rows[k][m] = S_q(m, k)
+    for k in range(1, size):
+        rows.append([sum((q_binomial(q, m, j) * rows[k - 1][j] for j in range(m)), F(0))
+                     / q_number(q, k) for m in range(size)])
+    for k in range(size):
+        assert [q_stirling2(q, m, k) for m in range(size)] == rows[k], k
+
+
+@settings(max_examples=15, deadline=None)
+@given(value=random_q)
+def test_q_bernstein_matches_phillips_product(value):
+    # Phillips's basis x^k prod_{s<n-k} (1 - q^s x), with no pair power
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
+        q = QParam(value)
+    for n in range(9):
+        for k in range(n + 1):
+            product = X**k
+            for s in range(n - k):
+                product = product * (1 - value**s * X)
+            assert q_bernstein(q, n, k) == product, (n, k)
+
+
 class TestClassicalLimit:
     def test_errors_shrink(self):
         for kind in ("q_bernoulli", "q_euler"):
