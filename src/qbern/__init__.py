@@ -19,7 +19,6 @@ from .qspecial import (
     FamilySpec,
     PolyTable,
     classical_limit_errors,
-    classical_stirling2,
     family_table,
     is_monotone_decreasing,
     q_bernoulli_numbers_recurrence,
@@ -59,7 +58,6 @@ __all__ = [
     "q_bernoulli_numbers_recurrence",
     "q_euler_numbers_recurrence",
     "q_stirling2",
-    "classical_stirling2",
     "q_bernstein",
     "classical_limit_errors",
     "is_monotone_decreasing",

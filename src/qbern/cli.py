@@ -34,7 +34,6 @@ from .identities import Grid, IdentityReport, SUITE_ORDER, default_grid, run_sui
 from .qspecial import (
     FamilySpec,
     classical_limit_errors,
-    classical_stirling2,
     family_table,
     is_monotone_decreasing,
     q_bernstein,
@@ -138,13 +137,12 @@ def _table_payload(args) -> dict:
         table = family_table(FamilySpec(KINDS[family], alpha, q), n_max)
         payload["entries"] = [{"n": n, "poly": poly_terms(p)} for n, p in enumerate(table.entries)]
         return payload
-    # the (n, k) triangles: q-Bernstein polynomials, or q-Stirling numbers with
-    # the classical ones at q = None
+    # the (n, k) triangles: q-Bernstein polynomials or q-Stirling numbers
     if family == "qbernstein":
         name, key, cell = "entries", "poly", lambda n, k: poly_terms(q_bernstein(q, n, k))
     else:
         name, key = "rows", "value"
-        cell = lambda n, k: str(classical_stirling2(n, k) if q is None else q_stirling2(q, n, k))
+        cell = lambda n, k: str(q_stirling2(q, n, k))
     payload[name] = [
         {"n": n, "k": k, key: cell(n, k)} for n in range(n_max + 1) for k in range(n + 1)
     ]

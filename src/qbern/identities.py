@@ -29,11 +29,9 @@ from functools import cached_property
 from typing import Callable, Iterator
 
 from .poly import Poly2, X, symbolic_pair_power
-from .qcore import QParam, q_binomial, q_number, q_pair_power, gauss_exponent
+from .qcore import QParam, q_binomial, q_number, q_pair_power, gauss_exponent, scalar_memo
 from .series import Eq_series, eq_series
-from .qspecial import (
-    FamilySpec, PolyTable, classical_stirling2, family_table, q_bernstein, q_stirling2,
-)
+from .qspecial import FamilySpec, PolyTable, family_table, q_bernstein, q_stirling2
 
 # The documented typo ledger.  Keys are identity ids; values name the
 # applied correction.  Every correction is an index/symbol-level fix
@@ -146,6 +144,10 @@ def qconv(q: QParam | None, n: int, a, b, w: Callable = _one) -> Poly2:
     )
 
 
+def _recurrence_power(q: QParam | None, m: int, p: int) -> Fraction:
+    return q_pair_power(q, Fraction(1, m), Fraction(-1), p)
+
+
 class Point:
     """One parameter tuple of an identity and the tables its formulas read.
 
@@ -184,8 +186,9 @@ class Point:
         return self.pair(j).substitute("y", -1)
 
     def P(self, p: int) -> Fraction:
-        """The scalar (1/m + (-1))-pair power of the recurrences."""
-        return q_pair_power(self.q, Fraction(1, self.m), Fraction(-1), p)
+        """The scalar (1/m + (-1))-pair power of the recurrences, memoized on
+        the integer m so that a read builds and hashes no Fraction."""
+        return scalar_memo(_recurrence_power, self.q, self.m, p)
 
     def ysum(self, k: int, s) -> Poly2:
         """sum_j [k j] m^j s(j)."""
@@ -269,7 +272,7 @@ def _euler_c4(c: Point, b) -> Poly2:
 def _stirling_rhs(c: Point) -> Poly2:
     """sum_r x^r sum_j r!/(r-j)! m^{j-n} sum_k [n k] S(n-k, j) T_k(0, y)."""
     n, m = c.n, Fraction(c.m)
-    inner = [qconv(c.q, n, c.T.x0, lambda i: classical_stirling2(i, j)) for j in range(n + 1)]
+    inner = [qconv(c.q, n, c.T.x0, lambda i: q_stirling2(None, i, j)) for j in range(n + 1)]
     return Poly2.linear_combination((math.perm(r, j) * m ** (j - n), inner[j], _x(r))
                                     for r in range(n + 2) for j in range(n + 1))
 

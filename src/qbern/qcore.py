@@ -15,7 +15,8 @@ than 500 distinct arguments), so each public function checks its
 arguments and then reads ``scalar_memo``: one least-recently-used memo
 keyed on (kernel, q, arguments), with a fixed bound so that a caller
 streaming new q values evicts old entries instead of growing the process.
-``qspecial`` keeps its Stirling rows in the same memo.
+``qspecial`` keeps its Stirling rows, and ``identities`` the pair powers of
+its recurrences, in the same memo.
 """
 
 from __future__ import annotations

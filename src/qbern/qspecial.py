@@ -4,9 +4,10 @@ Generalized Bernoulli and Euler polynomials of integer order,
 Stirling numbers of the second kind and the Phillips q-Bernstein basis.
 Each takes q = None for its classical (q -> 1) flavour.
 
-Tables are built once from their generating functions; independent
-triangular recurrences for the number sequences act as anti-bug oracles
-(the two computation paths share no series code).
+Tables are built once from their generating functions, and triangular
+recurrences for their number sequences are the test oracles; q-Stirling
+numbers are computed by their recurrence, and the series is their oracle.
+The two paths of each family share no series code.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 from typing import Literal
 
 from .poly import Poly2, X, Y, symbolic_pair_power
-from .qcore import QParam, q_binomial, q_factorial, scalar_memo
+from .qcore import QParam, q_binomial, q_factorial, q_number, scalar_memo
 from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
@@ -135,38 +136,30 @@ def q_euler_numbers_recurrence(q: QParam, max_n: int) -> list[Fraction]:
 
 
 def q_stirling2(q: QParam | None, m: int, k: int) -> Fraction:
-    """q-Stirling number of the second kind.
-
-    [m]! times the t^m coefficient of (e(t) - 1)^k / [k]!.
-    """
+    """q-Stirling number of the second kind: [m]! times the t^m coefficient
+    of (e(t) - 1)^k / [k]!, read from row m of its triangle."""
     if m < 0 or k < 0:
         raise ValueError("q_stirling2 requires m, k >= 0")
-    if m < k:
-        return Fraction(0)
-    em1 = Series(
-        [Poly2.zero()]
-        + [Poly2.const(1 / q_factorial(q, n)) for n in range(1, m + 1)]
-    )
-    coeff = em1.int_power(k).coeffs[m].constant_term()
-    return coeff * q_factorial(q, m) / q_factorial(q, k)
+    return scalar_memo(_stirling2_row, q, m)[k] if k <= m else Fraction(0)
 
 
-def classical_stirling2(n: int, k: int) -> Fraction:
-    """Classical Stirling number of the second kind, read from row n of
-    the triangle S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
-    if n < 0 or k < 0:
-        raise ValueError("classical_stirling2 requires n, k >= 0")
-    if k > n:
-        return Fraction(0)
-    return scalar_memo(_stirling2_row, None, n)[k]
-
-
-def _stirling2_row(q: None, n: int) -> tuple[Fraction, ...]:
-    """Row n of the classical triangle (the memo key carries q = None)."""
-    row = [1]  # S(0, 0)
-    for i in range(1, n + 1):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1]
-    return tuple(map(Fraction, row))
+def _stirling2_row(q: QParam | None, m: int) -> tuple[Fraction, ...]:
+    """Row m of the triangle, S(m, 0..m), built up from row 0: at q = None by
+    S(i, k) = k S(i-1, k) + S(i-1, k-1), otherwise by S(i, k) = (1/[k]) sum_{j<i}
+    [i j] S(j, k-1), from (e(t) - 1)^k = (e(t) - 1)^{k-1} (e(t) - 1)."""
+    if q is None:
+        row = [1]
+        for i in range(1, m + 1):
+            row = [0] + [k * row[k] + row[k - 1] for k in range(1, i)] + [1]
+        return tuple(map(Fraction, row))
+    rows, binom = [(Fraction(1),)], (1,)  # rows[i][k] = S(i, k), binom[j] = [i j]
+    for i in range(1, m + 1):
+        # the q-Pascal rule, not the memo: a deep row would flood it with [i j]
+        binom = (1, *(binom[j - 1] + q.power(j) * binom[j] for j in range(1, i)), 1)
+        rows.append((Fraction(0),) + tuple(
+            sum(binom[j] * rows[j][k - 1] for j in range(k - 1, i)) / q_number(q, k)
+            for k in range(1, i + 1)))
+    return rows[m]
 
 
 # -- Bernstein basis ------------------------------------------------

@@ -51,16 +51,12 @@ class Series:
 
     # -- arithmetic (results truncate to the smaller order) -----------
 
-    def __mul__(self, other: "Series | Fraction | int") -> "Series":
-        if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self.coeffs])
+    def __mul__(self, other: "Series") -> "Series":
         a, b = self.coeffs, other.coeffs
         return Series([
             Poly2.linear_combination((1, a[k], b[i - k]) for k in range(i + 1))
             for i in range(min(self.order, other.order) + 1)
         ])
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse up to the truncation order.

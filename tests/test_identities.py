@@ -146,6 +146,17 @@ def test_reports_are_deterministically_ordered():
     assert keys == sorted(keys)
 
 
+def test_recurrence_power_hit_hashes_no_fraction(monkeypatch):
+    q = QParam(F(1, 2))
+    first = identities.Point(None, q=q, m=3).P(4)
+    assert first == identities.q_pair_power(q, F(1, 3), F(-1), 4)
+    # a second read is keyed on the integer m: it builds and hashes no Fraction
+    calls = []
+    monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or 0)
+    assert identities.Point(None, q=q, m=3).P(4) == first
+    assert calls == []
+
+
 def test_one_table_cache_per_run(monkeypatch):
     built = []
     real = identities.family_table

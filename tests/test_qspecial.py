@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from qbern.identities import qconv
 
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
-from qbern.qcore import QParam, q_binomial, q_number, gauss_exponent
+from qbern import qspecial
+from qbern.qcore import QParam, q_binomial, q_factorial, q_number, gauss_exponent, scalar_memo
+from qbern.series import Series
 from qbern.qspecial import (
     FamilySpec,
     classical_limit_errors,
-    classical_stirling2,
     family_table,
     is_monotone_decreasing,
     q_bernoulli_numbers_recurrence,
@@ -28,6 +29,19 @@ Q2 = QParam(F(1, 2))
 Q3 = QParam(F(1, 3))
 QS = [QParam(F(1, 2)), QParam(F(1, 3)), QParam(F(3, 4))]
 Q_LIMIT = [QParam(F(9, 10)), QParam(F(99, 100)), QParam(F(999, 1000))]
+
+
+def series_stirling2(q, size):
+    """The series form of the q-Stirling numbers, the oracle of the recurrence
+    in q_stirling2: rows[k][m] = [m]!/[k]! [t^m] (e(t) - 1)^k for m, k < size,
+    each power one more multiplication by e(t) - 1."""
+    em1 = Series([0] + [1 / q_factorial(q, n) for n in range(1, size)])
+    power, rows = Series.one(size - 1), []
+    for k in range(size):
+        rows.append([power.coeffs[m].constant_term() * q_factorial(q, m) / q_factorial(q, k)
+                     for m in range(size)])
+        power = power * em1
+    return rows
 
 
 class TestBernoulliTable:
@@ -213,29 +227,29 @@ class TestStirling:
         assert q_stirling2(Q2, 3, 2) == F(7, 3)
 
     def test_classical_values(self):
-        assert classical_stirling2(4, 2) == 7
-        assert classical_stirling2(0, 0) == 1
+        assert q_stirling2(None, 4, 2) == 7
+        assert q_stirling2(None, 0, 0) == 1
         for n in range(1, 8):
-            assert classical_stirling2(n, n) == 1
-            assert classical_stirling2(n, 0) == 0
+            assert q_stirling2(None, n, n) == 1
+            assert q_stirling2(None, n, 0) == 0
 
     def test_classical_matches_closed_form(self):
         # S(n, k) = (1/k!) sum_j (-1)^j C(k, j) (k - j)^n
         for n in range(31):
             for k in range(n + 2):
                 closed = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-                assert classical_stirling2(n, k) == F(closed, math.factorial(k))
+                assert q_stirling2(None, n, k) == F(closed, math.factorial(k))
 
     def test_classical_deep_row_builds_without_recursion(self):
         # a cold read of a deep row builds it iteratively
-        assert classical_stirling2(1500, 1499) == math.comb(1500, 2)
+        assert q_stirling2(None, 1500, 1499) == math.comb(1500, 2)
 
     def test_classical_limit_monotone(self):
         worst = F(0)
         for m in range(7):
             for k in range(7):
                 errs = [
-                    abs(q_stirling2(q, m, k) - classical_stirling2(m, k))
+                    abs(q_stirling2(q, m, k) - q_stirling2(None, m, k))
                     for q in Q_LIMIT
                 ]
                 assert is_monotone_decreasing(errs)
@@ -246,8 +260,32 @@ class TestStirling:
 
     @pytest.mark.parametrize("n", range(12))
     def test_series_path_matches_triangle_at_q_none(self, n):
+        rows = series_stirling2(None, n + 1)
         for k in range(n + 1):
-            assert q_stirling2(None, n, k) == classical_stirling2(n, k)
+            assert q_stirling2(None, n, k) == rows[k][n]
+
+    @pytest.mark.parametrize("value", [F(7, 11), F(-7, 3), None], ids=str)
+    def test_matches_series_form_to_sixteen(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
+            q = QParam(value) if value else None
+        rows = series_stirling2(q, 17)
+        for k in range(17):
+            assert [q_stirling2(q, m, k) for m in range(17)] == rows[k], k
+
+    def test_deep_row_keeps_its_binomials_out_of_the_memo(self):
+        q = QParam(F(17, 19))
+        before = scalar_memo.cache_info().misses
+        q_stirling2(q, 40, 20)  # cold: the row and its q-integers, no [i j]
+        assert scalar_memo.cache_info().misses - before <= 41
+
+    def test_a_row_is_built_once(self, monkeypatch):
+        calls = []
+        real = qspecial._stirling2_row
+        monkeypatch.setattr(qspecial, "_stirling2_row",
+                            lambda q, m: calls.append((q, m)) or real(q, m))
+        assert [q_stirling2(Q2, 8, k) for k in range(9)] == list(real(Q2, 8))
+        assert calls == [(Q2, 8)]
 
 
 class TestBernstein:
@@ -276,17 +314,12 @@ class TestBernstein:
 
 @settings(max_examples=15, deadline=None)
 @given(value=random_q)
-def test_q_stirling2_matches_its_recurrence(value):
-    # (e(t) - 1)^k / [k]! = (e(t) - 1) / [k] times the k - 1 function gives
-    # S_q(m, k) = (1/[k]) sum_{j<m} [m j] S_q(j, k - 1), with no series
+def test_q_stirling2_matches_its_series_form(value):
     size = 9
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
         q = QParam(value)
-    rows = [[F(m == 0) for m in range(size)]]  # rows[k][m] = S_q(m, k)
-    for k in range(1, size):
-        rows.append([sum((q_binomial(q, m, j) * rows[k - 1][j] for j in range(m)), F(0))
-                     / q_number(q, k) for m in range(size)])
+    rows = series_stirling2(q, size)
     for k in range(size):
         assert [q_stirling2(q, m, k) for m in range(size)] == rows[k], k
 
