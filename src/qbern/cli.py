@@ -212,18 +212,19 @@ def _verify_payload(args) -> dict:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    suites: dict = {}
+    run: dict = {}
     memo = scalar_memo.cache_info()
     start = time.perf_counter()
-    reports = run_suite(args.suite, grid, suites)
+    reports = run_suite(args.suite, grid, run)
     wall_s = time.perf_counter() - start
     after = scalar_memo.cache_info()
     # wall-clock data for the meta block only, so --no-meta output stays deterministic
     args.timing = {
         "wall_s": round(wall_s, 6),
-        "suites": suites,
+        "suites": run["suites"],
         "scalar_memo": {"hits": after.hits - memo.hits, "misses": after.misses - memo.misses,
                         "size": after.currsize, "bound": after.maxsize},
+        "run_cache": run["run_cache"],
     }
     if not reports:
         raise CliError(f"suite {args.suite} checks no identity on this grid")

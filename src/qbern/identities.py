@@ -8,7 +8,9 @@ polynomial; there is no tolerance anywhere.
 Vocabulary: ``qconv(q, n, a, b, w)`` = sum_k [n k]_q w(k) a(k) b(n - k),
 the convolution most formulas are built from; a table ``T`` has rows
 ``T[n]``, projected rows ``T.x0``, ``T.y0``, ``T.ym1`` (x = 0, y = 0,
-y = -1) and numbers ``T.num``, all built once per run.  ``q = None`` is
+y = -1) and numbers ``T.num``; a named sequence ``c.seq(name, f, *axes)``
+is f keyed on q and the point's values of ``axes``.  Tables and named
+sequences are built once per run, in one store.  ``q = None`` is
 the classical limit (see ``qcore``), so a classical q -> 1 instance of a
 q-identity is that definition at q = None.
 
@@ -103,17 +105,26 @@ def _report(
 
 
 class TableCache:
-    """Builds each polynomial table of one run once, as deep as the run reads."""
+    """The one store of a run: each polynomial table, as deep as the run
+    reads, and each value of a named sequence, built once."""
 
     def __init__(self, max_n: int):
         self.max_n = max_n
-        self._cache: dict[tuple, PolyTable] = {}
+        self.hits = self.misses = 0
+        self._store: dict[tuple, object] = {}
+
+    def once(self, key: tuple, build: Callable[[], object]):
+        """The value stored under ``key``, built by ``build()`` on first use."""
+        if key in self._store:
+            self.hits += 1
+        else:
+            self.misses += 1
+            self._store[key] = build()
+        return self._store[key]
 
     def get(self, kind: str, q: QParam | None, alpha: int) -> PolyTable:
-        key = (kind, q, alpha)
-        if key not in self._cache:
-            self._cache[key] = family_table(FamilySpec(kind, alpha, q), self.max_n)
-        return self._cache[key]
+        return self.once((kind, q, alpha),
+                         lambda: family_table(FamilySpec(kind, alpha, q), self.max_n))
 
 
 # -- the convolution and the evaluation point ------------------------
@@ -166,6 +177,12 @@ class Point:
     def table(self, kind: str, alpha: int) -> PolyTable:
         return self.cache.get(kind, self.q, alpha)
 
+    def seq(self, name: str, f: Callable[[int], Poly2], *axes: str) -> Callable[[int], Poly2]:
+        """f as a sequence kept in the run's store under (name, q, the point's
+        values of ``axes``, index): f must read no other parameter."""
+        key = (name, self.q, *(getattr(self, a) for a in axes))
+        return lambda i: self.cache.once((*key, i), lambda: f(i))
+
     B = cached_property(lambda c: c.table(BERN, c.alpha))
     E = cached_property(lambda c: c.table(EUL, c.alpha))
     Bm = cached_property(lambda c: c.table(BERN, c.alpha - 1))
@@ -206,36 +223,39 @@ class Point:
 # -- the shared brackets ---------------------------------------------
 
 
-def _sp1_y(c: Point, lower) -> Poly2:
+def _sp1_y(c: Point, name: str, lower) -> Poly2:
     """sp1-1, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
     B, E1, m = c.B, c.E1, c.m
 
     def bracket(k):
         return m ** k * B.y0[k] + c.ysum(k, B.ym1) + m * q_number(c.q, k) * c.ysum(k - 1, lower)
 
-    rhs = qconv(c.q, c.n, bracket, lambda i: E1.x0[i].scale_var("y", m))
+    rhs = qconv(c.q, c.n, c.seq(name, bracket, "alpha", "m"),
+                c.seq("E1.x0(my)", lambda i: E1.x0[i].scale_var("y", m), "m"))
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
-def _sp1_x(c: Point, lower) -> Poly2:
+def _sp1_x(c: Point, name: str, lower) -> Poly2:
     """sp1-2, with the order-(alpha - 1) polynomials at x = 0 as ``lower``."""
     B, E1, m = c.B, c.E1, c.m
 
     def bracket(k):
         return B.x0[k] + c.xsum(k, B.x0) + q_number(c.q, k) * c.xsum(k - 1, lower)
 
-    rhs = qconv(c.q, c.n, bracket, lambda i: E1.y0[i].scale_var("x", m), lambda k: m ** k)
+    rhs = qconv(c.q, c.n, c.seq(name, bracket, "alpha", "m"),
+                c.seq("E1.y0(mx)", lambda i: E1.y0[i].scale_var("x", m), "m"), lambda k: m ** k)
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
-def _sp2_y(c: Point, lower) -> Poly2:
+def _sp2_y(c: Point, name: str, lower) -> Poly2:
     """sp2-2, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
     E, B1, m, low = c.E, c.B1, c.m, _fn(lower)
 
     def bracket(k):
         return c.ysum(k + 1, lambda j: 2 * low(j) - E.ym1[j]) - m ** (k + 1) * E.y0[k + 1]
 
-    return qconv(c.q, c.n, bracket, lambda i: B1.x0[i].scale_var("y", m),
+    return qconv(c.q, c.n, c.seq(name, bracket, "alpha", "m"),
+                 c.seq("B1.x0(my)", lambda i: B1.x0[i].scale_var("y", m), "m"),
                  lambda k: 1 / (Fraction(m) ** c.n * q_number(c.q, k + 1)))
 
 
@@ -245,7 +265,8 @@ def _sp2_x(c: Point) -> Poly2:
     def bracket(k):
         return c.xsum(k + 1, lambda j: 2 * Em.x0[j] - E.x0[j]) - E.x0[k + 1]
 
-    return qconv(c.q, c.n, bracket, lambda i: B1.y0[i].scale_var("x", m),
+    return qconv(c.q, c.n, c.seq("sp2-1", bracket, "alpha", "m"),
+                 c.seq("B1.y0(mx)", lambda i: B1.y0[i].scale_var("x", m), "m"),
                  lambda k: m ** (k - c.n + 1) / q_number(c.q, k + 1))
 
 
@@ -272,9 +293,11 @@ def _euler_c4(c: Point, b) -> Poly2:
 def _stirling_rhs(c: Point) -> Poly2:
     """sum_r x^r sum_j r!/(r-j)! m^{j-n} sum_k [n k] S(n-k, j) T_k(0, y)."""
     n, m = c.n, Fraction(c.m)
-    inner = [qconv(c.q, n, c.T.x0, lambda i: q_stirling2(None, i, j)) for j in range(n + 1)]
-    return Poly2.linear_combination((math.perm(r, j) * m ** (j - n), inner[j], _x(r))
-                                    for r in range(n + 2) for j in range(n + 1))
+    inner = c.seq("stirling-inner", lambda j: qconv(
+        c.q, n, c.T.x0, lambda i: q_stirling2(None, i, j)), "kind", "alpha", "n")
+    return Poly2.linear_combination(
+        (m ** (j - n), inner(j), Poly2({(r, 0): math.perm(r, j) for r in range(j, n + 2)}))
+        for j in range(n + 1))
 
 
 # -- identity definitions and suites ---------------------------------
@@ -399,20 +422,21 @@ check_recurrence = _suite(
 )
 check_sp1 = _suite(
     "sp1", "Both displays of the Bernoulli-through-Euler addition theorem.",
-    ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.Bm.ym1)),
-    ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.Bm.x0)),
+    ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "sp1-1", c.Bm.ym1)),
+    ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "sp1-2", c.Bm.x0)),
 )
 check_sp2 = _suite(
     "sp2", "Both displays of the Euler-through-Bernoulli addition theorem.",
     ("sp2-1", (N, ALPHA, M, Q), lambda c: c.E[c.n], _sp2_x),
-    ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.Em.ym1)),
+    ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "sp2-2", c.Em.ym1)),
 )
 check_corollaries = _suite(
     "corollaries", "The theorems at order one with the order-zero polynomials written out "
     "as pair powers, the Cheon-type expansions, and classical forms.",
-    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.pair_ym1), "classical-c2-2"),
-    ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.ey)),
-    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.pair_ym1),
+    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "c1-1", c.pair_ym1),
+     "classical-c2-2"),
+    ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "c1-2", c.ey)),
+    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "euler-c1", c.pair_ym1),
      "classical-euler-c2-2"),
     ("cw1", (N, Q), lambda c: c.B[c.n],
      lambda c: qconv(c.q, c.n, lambda k: c.B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)
@@ -440,9 +464,10 @@ check_bernstein = _suite(
     "bernstein", "Bernstein-basis expansion through q-Stirling numbers.",
     # [n k] b_{n,k}(x) = x^k sum_i [n i] S_q(i, k) B^{(k)}_{n-i}(1, -x)
     ("bb1", (N, K_N, Q), lambda c: q_binomial(c.q, c.n, c.k) * q_bernstein(c.q, c.n, c.k),
-     lambda c: _x(c.k) * qconv(c.q, c.n, _one,
-                               lambda i: c.table(BERN, c.k)[i].substitute("x", 1).compose("y", -X),
-                               lambda i: q_stirling2(c.q, i, c.k))),
+     lambda c: _x(c.k) * qconv(
+         c.q, c.n, _one,
+         c.seq("bb1-row", lambda i: c.table(BERN, c.k)[i].substitute("x", 1).compose("y", -X), "k"),
+         lambda i: q_stirling2(c.q, i, c.k))),
 )
 check_alpha_zero = _suite(
     "alpha-zero", "Order-zero tables collapse to the symbolic pair power.",
@@ -470,8 +495,9 @@ SUITE_ORDER = (*sorted(set(SUITES) - {"exp-inverse"}), "exp-inverse")
 
 def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[IdentityReport]:
     """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order,
-    over one table cache.  A ``timing`` dict receives each suite's wall
-    seconds and report count, under the suite's name."""
+    over one store.  A ``timing`` dict receives each suite's wall seconds
+    and report count under ``suites`` and the suite's name, and the
+    store's entries, hits and misses under ``run_cache``."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_ORDER if name == "all" else (name,)
@@ -479,11 +505,12 @@ def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[Identit
     reach = {"sp2": grid.n_max + 1, "corollaries": grid.n_max + 1,
              "alpha-zero": max(grid.n_max, 10)}
     cache = TableCache(max(reach.get(s, grid.n_max) for s in names))
-    reports = []
+    reports, timing = [], {} if timing is None else timing
+    suites = timing["suites"] = {}
     for s in names:
         start = time.perf_counter()
         got = SUITES[s](grid, cache)
         reports += got
-        if timing is not None:
-            timing[s] = {"wall_s": round(time.perf_counter() - start, 6), "reports": len(got)}
+        suites[s] = {"wall_s": round(time.perf_counter() - start, 6), "reports": len(got)}
+    timing["run_cache"] = {"entries": len(cache._store), "hits": cache.hits, "misses": cache.misses}
     return reports

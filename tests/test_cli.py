@@ -401,6 +401,15 @@ class TestVerify:
         assert "timing" not in out
         assert list(json.loads(out)) == ["payload"]
 
+    def test_run_cache_in_meta(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "sp1", "--n-max", "3",
+                           "--alpha-set", "1,2", "--m-set", "1,2", "--q-set", "1/2")
+        assert code == 0
+        store = json.loads(out)["meta"]["timing"]["run_cache"]
+        assert set(store) == {"entries", "hits", "misses"}
+        assert 0 < store["misses"] <= store["entries"]
+        assert store["hits"] > 0
+
     def test_deterministic_with_no_meta(self, capsys):
         args = (
             "verify",

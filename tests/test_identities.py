@@ -176,6 +176,44 @@ def test_one_table_cache_per_run(monkeypatch):
         assert {n for _, n in built} == {depth}, suite
 
 
+@pytest.mark.parametrize("suite, axis", [
+    ("sp1", "m"), ("sp2", "m"), ("corollaries", "m"), ("sp1", "alpha"), ("sp2", "alpha"),
+])
+def test_no_sequence_is_shared_across_m_or_alpha(suite, axis):
+    # the run's store keys every sequence on the axis values it reads, so
+    # the value-2 reports do not depend on which other values ran before
+    def reports_at_2(values):
+        sets = {"alpha_set": (1, 2), "m_set": (1, 2), f"{axis}_set": values}
+        grid = Grid(n_max=4, q_set=(QParam(F(1, 2)), QParam(F(-7, 3))), **sets)
+        return [r for r in run_suite(suite, grid) if dict(r.params).get(axis) == "2"]
+
+    alone = reports_at_2((2,))
+    assert alone and reports_at_2((1, 2)) == alone
+
+
+def test_each_scaled_row_is_built_once(monkeypatch):
+    calls = []
+    real = identities.Poly2.scale_var
+    monkeypatch.setattr(identities.Poly2, "scale_var",
+                        lambda p, *a: calls.append(a) or real(p, *a))
+    run_suite("sp1", SMALL)
+    # E1(x, 0) at y -> my and E1(0, y) at x -> mx, once per (q, m, index)
+    assert len(calls) == 2 * len(SMALL.q_set) * len(SMALL.m_set) * (SMALL.n_max + 1)
+
+
+def test_stirling_inner_sums_are_built_once_for_every_m(monkeypatch):
+    built = []
+    real = identities.qconv
+    monkeypatch.setattr(identities, "qconv", lambda *a: built.append(a) or real(*a))
+
+    def builds(m_set):
+        built.clear()
+        run_suite("stirling-theorem", Grid(4, (1, 2), m_set, (QParam(F(1, 2)),)))
+        return len(built)
+
+    assert builds((1, 2, 3)) == builds((1,)) > 0
+
+
 # q = a/b with |a|, b <= 20, on both sides of (0, 1), never a root of unity
 random_q = st.builds(F, st.integers(-20, 20), st.integers(1, 20)).filter(
     lambda v: v not in (0, 1, -1)
