@@ -203,12 +203,13 @@ def _report_obj(r: IdentityReport) -> dict:
 
 
 def _verify_payload(args) -> dict:
+    q_set = _parse_q_list(args.q_set)  # an excluded q is a domain error, not a grid error
     try:
         grid = Grid(
             n_max=args.n_max,
             alpha_set=_parse_int_list(args.alpha_set),
             m_set=_parse_int_list(args.m_set),
-            q_set=_parse_q_list(args.q_set),
+            q_set=q_set,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -317,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
+def _emit(argv: list[str], args, payload: dict, text: str | None = None) -> None:
     """Write ``text``, or the payload as JSON under a meta block unless --no-meta."""
     if text is None:
         doc = {"payload": payload} if args.no_meta else {
             "meta": {
                 "tool": "qbern",
                 "version": __version__,
-                "command": " ".join(sys.argv[1:]) if sys.argv else "",
+                "command": " ".join(argv),
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 **({"timing": args.timing} if "timing" in vars(args) else {}),
             },
@@ -367,8 +368,9 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_glue_negative_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -376,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("ignore")  # q outside (0,1) is fine here
             payload = COMMANDS[args.command](args)
             write = WRITERS.get(getattr(args, "format", "json"))
-            _emit(args, payload, write(payload) if write else None)
+            _emit(argv, args, payload, write(payload) if write else None)
     except Exception as exc:
         code, line = next((c, f) for types, c, f in EXIT_CODES if isinstance(exc, types))
         print(line.format(exc=exc, type=type(exc).__name__), file=sys.stderr)

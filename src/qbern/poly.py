@@ -17,12 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, TypeVar, Union
 
 from .qcore import QParam, q_binomial, q_number, gauss_exponent
 
 Key = tuple[int, int]
 Scalar = Union[Fraction, int]
+T = TypeVar("T")
 
 VARS = ("x", "y")
 
@@ -63,20 +64,11 @@ class Poly2:
         c = Fraction(c)
         return _raw({(dx, dy): c} if c else {})
 
-    @classmethod
-    def var(cls, name: str) -> "Poly2":
-        i = _var_index(name)
-        return cls.monomial(1 - i, i)
-
     # -- inspection ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self._terms)
 
     def constant_term(self) -> Fraction:
         return self._terms.get((0, 0), Fraction(0))
@@ -127,14 +119,7 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = Poly2.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else Poly2.one()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -212,6 +197,17 @@ class Poly2:
             (_at(k, i, k[i] - 1), c.numerator * w.numerator, c.denominator * w.denominator)
             for k, c in self._terms.items() if k[i] and (w := q_number(q, k[i]))
         ))
+
+
+def _power(base: T, n: int) -> T:
+    """``base ** n`` for n >= 1, by left-to-right square-and-multiply: it starts
+    from ``base`` and squares once per bit of n after the leading one."""
+    out = base
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
 
 
 def _coerce(v: "Poly2 | Scalar") -> Poly2:
@@ -303,8 +299,8 @@ def _products(
                 yield (ax + bx, ay + by), an * bn, ad * bd
 
 
-X = Poly2.var("x")
-Y = Poly2.var("y")
+X = Poly2.monomial(1, 0)
+Y = Poly2.monomial(0, 1)
 
 
 def symbolic_pair_power(q: QParam | None, n: int) -> Poly2:

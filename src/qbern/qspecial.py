@@ -37,15 +37,13 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class PolyTable:
-    """Polynomials of one family, indexed 0..max_n.
+    """Polynomials of one family, indexed from 0.
 
     ``x0``, ``y0`` and ``ym1`` are the rows projected to x = 0, y = 0 and
     y = -1, and ``num`` the numbers at x = y = 0; each is computed on
     first use and kept with the table.
     """
 
-    spec: FamilySpec
-    max_n: int
     entries: tuple[Poly2, ...]
 
     def __getitem__(self, n: int) -> Poly2:
@@ -71,19 +69,15 @@ def _kernel(kind: Kind, q: QParam | None, alpha: int, order: int) -> Series:
     return base.int_power(-alpha)
 
 
-def family_series(spec: FamilySpec, order: int) -> Series:
-    """The full bivariate generating series kernel^alpha * e(tx) * E(ty)."""
-    q = spec.q
-    kern = _kernel(spec.kind, q, spec.order_alpha, order)
-    return kern * eq_series(q, X, order) * Eq_series(q, Y, order)
-
-
 def family_table(spec: FamilySpec, max_n: int) -> PolyTable:
+    """Entries 0..max_n of the full bivariate generating series
+    kernel^alpha * e(tx) * E(ty), in the [n]!-weighted view."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    s = family_series(spec, max_n)
-    entries = tuple(s.egf_coefficient(n, spec.q) for n in range(max_n + 1))
-    return PolyTable(spec, max_n, entries)
+    q = spec.q
+    kern = _kernel(spec.kind, q, spec.order_alpha, max_n)
+    s = kern * eq_series(q, X, max_n) * Eq_series(q, Y, max_n)
+    return PolyTable(tuple(s.egf_coefficient(n, q) for n in range(max_n + 1)))
 
 
 def q_bernoulli_table(q: QParam, alpha: int, max_n: int) -> PolyTable:

@@ -13,9 +13,9 @@ its classical counterpart.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .poly import Poly2
+from .poly import Poly2, _power
 from .qcore import QParam, q_factorial, gauss_exponent
 
 ArgLike = Union[Poly2, Fraction, int]
@@ -64,10 +64,8 @@ class Series:
         Requires a nonzero constant t^0 coefficient.
         """
         c0 = self.coeffs[0]
-        if not c0.is_constant or c0.is_zero:
-            raise ValueError(
-                "series reciprocal requires a nonzero constant t^0 coefficient"
-            )
+        if c0.total_degree() != 0:
+            raise ValueError("series reciprocal requires a nonzero constant t^0 coefficient")
         inv0 = 1 / c0.constant_term()
         out = [Poly2.const(inv0)]
         for n in range(1, self.order + 1):
@@ -78,15 +76,9 @@ class Series:
 
     def int_power(self, exponent: int) -> "Series":
         """Integer power; negative exponents go through the reciprocal."""
-        base = self if exponent >= 0 else self.reciprocal()
-        n = abs(exponent)
-        out = Series.one(self.order)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if not exponent:
+            return Series.one(self.order)
+        return _power(self if exponent > 0 else self.reciprocal(), abs(exponent))
 
     def egf_coefficient(self, n: int, q: QParam | None) -> Poly2:
         """The n-th coefficient in the [n]!-weighted (EGF) view: c_n * [n]!."""
@@ -100,22 +92,17 @@ def eq_series(q: QParam | None, arg: ArgLike, order: int) -> Series:
 
     With q=None this is the classical exp(t * arg).
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    arg = arg if isinstance(arg, Poly2) else Poly2.const(arg)
-    return Series(
-        [arg ** n * (1 / q_factorial(q, n)) for n in range(order + 1)]
-    )
+    return _exp_series(q, arg, order, lambda n: Fraction(1))
 
 
 def Eq_series(q: QParam | None, arg: ArgLike, order: int) -> Series:
     """The big exponential E(t * arg): raw coefficients q^{n(n-1)/2} arg^n / [n]!."""
+    return _exp_series(q, arg, order, lambda n: gauss_exponent(q, n))
+
+
+def _exp_series(q: QParam | None, arg: ArgLike, order: int, weight: Callable[[int], Fraction]) -> Series:
+    """Raw coefficients weight(n) arg^n / [n]! for n = 0..order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     arg = arg if isinstance(arg, Poly2) else Poly2.const(arg)
-    return Series(
-        [
-            arg ** n * (gauss_exponent(q, n) / q_factorial(q, n))
-            for n in range(order + 1)
-        ]
-    )
+    return Series([arg ** n * (weight(n) / q_factorial(q, n)) for n in range(order + 1)])

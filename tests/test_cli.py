@@ -240,6 +240,13 @@ class TestTable:
         assert code == 3
         assert "domain error" in err
 
+    def test_meta_command_is_the_argv_main_was_given(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host", "extra-host-arg", "--whatever"])
+        target = str(tmp_path / "t.json")
+        argv = ["table", "--family", "stirling2", "--n-max", "2", "--out", target]
+        assert main(argv) == 0
+        assert json.loads(Path(target).read_text())["meta"]["command"] == " ".join(argv)
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "missing" / "f.json"
         code, _, err = run(
@@ -348,6 +355,14 @@ class TestVerify:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("q", ["0", "1", "-1"])
+    def test_excluded_q_is_domain_error(self, capsys, q):
+        code, out, err = run(capsys, "verify", "--suite", "lemma1", f"--q-set=1/2,{q}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error: ")
+        assert "Traceback" not in err
 
     def test_format_is_not_an_option(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "exp-inverse", "--format", "json")

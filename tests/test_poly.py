@@ -41,6 +41,20 @@ class TestArithmetic:
         p = (X + Y) - X - Y
         assert p._terms == {}
 
+    def test_power_matches_repeated_products(self):
+        p, power = X - F(2, 3) * Y + 1, Poly2.one()
+        for n in range(10):
+            assert p**n == power
+            power = power * p
+
+    @pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_power_product_count(self, monkeypatch, n, products):
+        calls = []
+        mul = Poly2.__mul__
+        monkeypatch.setattr(Poly2, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        (X + Y) ** n
+        assert len(calls) == products
+
 
 class TestEvaluation:
     def test_point(self):

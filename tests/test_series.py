@@ -73,6 +73,24 @@ class TestIntPower:
     def test_negative_two(self):
         assert from_scalars(1, 1, 0).int_power(-2) == from_scalars(1, -2, 3)
 
+    def test_matches_repeated_products(self):
+        a = from_scalars(2, F(1, 3), -5, 1)
+        inv = a.reciprocal()
+        power, inv_power = a, inv
+        for n in range(1, 10):
+            assert a.int_power(n) == power
+            assert a.int_power(-n) == inv_power
+            power, inv_power = power * a, inv_power * inv
+
+    @pytest.mark.parametrize("exponent, products", [(1, 0), (-1, 0), (3, 2), (4, 2)])
+    def test_series_product_count(self, monkeypatch, exponent, products):
+        # starts from the base, never multiplies by one and never squares past the last bit
+        calls = []
+        mul = Series.__mul__
+        monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        from_scalars(1, 1, 0).int_power(exponent)
+        assert len(calls) == products
+
 
 class TestExponentials:
     def test_zero_argument(self):
