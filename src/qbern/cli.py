@@ -24,7 +24,6 @@ import json
 import re
 import sys
 import time
-import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -374,11 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # q outside (0,1) is fine here
-            payload = COMMANDS[args.command](args)
-            write = WRITERS.get(getattr(args, "format", "json"))
-            _emit(argv, args, payload, write(payload) if write else None)
+        payload = COMMANDS[args.command](args)
+        write = WRITERS.get(getattr(args, "format", "json"))
+        _emit(argv, args, payload, write(payload) if write else None)
     except Exception as exc:
         code, line = next((c, f) for types, c, f in EXIT_CODES if isinstance(exc, types))
         print(line.format(exc=exc, type=type(exc).__name__), file=sys.stderr)

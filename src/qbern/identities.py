@@ -82,26 +82,23 @@ def default_grid() -> Grid:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """One identity at one point and its exact residual, left side minus right side."""
+
     identity_id: str
     params: tuple[tuple[str, str], ...]
-    lhs: Poly2
-    rhs: Poly2
     residual: Poly2
-    passed: bool
-    correction_applied: str | None = None
     verdict_only: bool = False  # unproven statement: record, don't gate
+
+    @property
+    def passed(self) -> bool:
+        return self.residual.is_zero
+
+    @property
+    def correction_applied(self) -> str | None:
+        return CORRECTIONS.get(self.identity_id)
 
     def sort_key(self) -> tuple:
         return (self.identity_id, self.params)
-
-
-def _report(
-    identity_id: str, lhs: Poly2, rhs: Poly2, *, verdict_only=False, **kw
-) -> IdentityReport:
-    residual = lhs - rhs
-    params = tuple((k, str(v)) for k, v in kw.items())
-    return IdentityReport(identity_id, params, lhs, rhs, residual, residual.is_zero,
-                          CORRECTIONS.get(identity_id), verdict_only)
 
 
 class TableCache:
@@ -356,8 +353,9 @@ def _suite(name: str, doc: str, *defs: tuple, verdict_only: bool = False):
                 if not isinstance(rid, str):
                     rid = rid[tuple(KINDS).index(params["kind"])]
                 c = Point(cache, **params)
-                lhs, rhs = ident.lhs(c), ident.rhs(c)
-                reports.append(_report(rid, lhs, rhs, verdict_only=verdict_only, **params))
+                reports.append(IdentityReport(
+                    rid, tuple((k, str(v)) for k, v in params.items()),
+                    ident.lhs(c) - ident.rhs(c), verdict_only))
         return sorted(reports, key=IdentityReport.sort_key)
 
     check.__doc__ = doc

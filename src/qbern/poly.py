@@ -166,8 +166,6 @@ class Poly2:
         """Rescale one variable: v -> c * v."""
         i = _var_index(var)
         c = Fraction(c)
-        if not c:
-            return self.substitute(var, 0)
         cn, cd = c.numerator, c.denominator
         return _raw(_collect(
             (k, coef.numerator * cn ** k[i], coef.denominator * cd ** k[i])

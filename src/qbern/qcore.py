@@ -22,7 +22,6 @@ its recurrences, in the same memo.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -40,9 +39,8 @@ class QParamError(ValueError):
 class QParam:
     """A validated rational deformation parameter q, with q not in {0, 1, -1}.
 
-    Values outside (0, 1) are admissible (every implemented identity is a
-    formal polynomial identity) but trigger a warning, since the usual
-    analytic setting assumes 0 < q < 1.
+    Values outside (0, 1) are admissible: every identity is a formal
+    polynomial identity.
     """
 
     value: Fraction
@@ -59,17 +57,6 @@ class QParam:
             raise QParamError("q = 0 is excluded")
         if self.value == -1:
             raise QParamError("q = -1 is excluded: the q-integer [2] = 1 + q vanishes")
-        if not self.in_principal_range:
-            warnings.warn(
-                f"q = {self.value} lies outside (0, 1); identities remain "
-                "exact but the classical analytic regime does not apply",
-                stacklevel=2,
-            )
-
-    @property
-    def in_principal_range(self) -> bool:
-        """True when 0 < q < 1."""
-        return 0 < self.value < 1
 
     def __hash__(self) -> int:
         return self._hash

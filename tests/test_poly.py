@@ -74,9 +74,12 @@ class TestSubstitution:
 
     def test_scale_x(self):
         assert (X**2).scale_var("x", 2) == 4 * X**2
+        # c = 0 keeps the terms of x-degree 0
+        assert (X**2 * Y + 3 * X + Y - 2).scale_var("x", 0) == Y - 2
 
     def test_scale_y(self):
         assert (Y**2).scale_var("y", F(1, 2)) == F(1, 4) * Y**2
+        assert (X * Y**2 + 3 * Y + X - 2).scale_var("y", 0) == X - 2
 
     def test_compose(self):
         # x -> (x + y) in x^2 gives the full square

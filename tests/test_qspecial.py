@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -129,16 +128,14 @@ def test_order_alpha_numbers_are_convolution_powers(value, alpha):
     # its numbers are the alpha-fold q-binomial self-convolution of the
     # order-1 numbers; those come from the recurrences, not from any series.
     n_max = 8
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
-        q = QParam(value)
-        for kind, order1 in (("q_bernoulli", q_bernoulli_numbers_recurrence),
-                             ("q_euler", q_euler_numbers_recurrence)):
-            base = order1(q, n_max)
-            power = base
-            for _ in range(alpha - 1):
-                power = [qconv(q, n, power, base).constant_term() for n in range(n_max + 1)]
-            assert q_number_sequence(FamilySpec(kind, alpha, q), n_max) == power, kind
+    q = QParam(value)
+    for kind, order1 in (("q_bernoulli", q_bernoulli_numbers_recurrence),
+                         ("q_euler", q_euler_numbers_recurrence)):
+        base = order1(q, n_max)
+        power = base
+        for _ in range(alpha - 1):
+            power = [qconv(q, n, power, base).constant_term() for n in range(n_max + 1)]
+        assert q_number_sequence(FamilySpec(kind, alpha, q), n_max) == power, kind
 
 
 class TestAlphaStructure:
@@ -266,9 +263,7 @@ class TestStirling:
 
     @pytest.mark.parametrize("value", [F(7, 11), F(-7, 3), None], ids=str)
     def test_matches_series_form_to_sixteen(self, value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
-            q = QParam(value) if value else None
+        q = QParam(value) if value else None
         rows = series_stirling2(q, 17)
         for k in range(17):
             assert [q_stirling2(q, m, k) for m in range(17)] == rows[k], k
@@ -316,9 +311,7 @@ class TestBernstein:
 @given(value=random_q)
 def test_q_stirling2_matches_its_series_form(value):
     size = 9
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
-        q = QParam(value)
+    q = QParam(value)
     rows = series_stirling2(q, size)
     for k in range(size):
         assert [q_stirling2(q, m, k) for m in range(size)] == rows[k], k
@@ -328,9 +321,7 @@ def test_q_stirling2_matches_its_series_form(value):
 @given(value=random_q)
 def test_q_bernstein_matches_phillips_product(value):
     # Phillips's basis x^k prod_{s<n-k} (1 - q^s x), with no pair power
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # q outside (0, 1) is fine here
-        q = QParam(value)
+    q = QParam(value)
     for n in range(9):
         for k in range(n + 1):
             product = X**k
