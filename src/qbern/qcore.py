@@ -10,11 +10,12 @@ one convention turns every q-formula built from these primitives into
 its classical counterpart.
 
 The scalars are asked for over and over with few distinct arguments (a
-``verify`` run on the default grid reads about 150,000 of them, of fewer
-than 500 distinct arguments), so each public function checks its
-arguments and then reads ``scalar_memo``: one least-recently-used memo
-keyed on (kernel, q, arguments), with a fixed bound so that a caller
-streaming new q values evicts old entries instead of growing the process.
+``verify`` run on the default grid reads 84,040 of them, of 601 distinct
+entries: 83,439 hits and 601 misses in its meta ``timing.scalar_memo``),
+so each public function checks its arguments and then reads
+``scalar_memo``: one least-recently-used memo keyed on (kernel, q,
+arguments), with a fixed bound so that a caller streaming new q values
+evicts old entries instead of growing the process.
 ``qspecial`` keeps its Stirling rows, and ``identities`` the pair powers of
 its recurrences, in the same memo.
 """

@@ -242,6 +242,11 @@ def test_kernel_matches_fraction_arithmetic(ab, w, v, var):
         (a + b, fraction_sum([*ta.items(), *tb.items()])),
         (a - b, fraction_sum([*ta.items(), *neg_b.items()])),
         (a - w, fraction_sum([*ta.items(), ((0, 0), -w)])),
+        (w + a, fraction_sum([((0, 0), w), *ta.items()])),
+        (w - a, fraction_sum([((0, 0), w), *((k, -c) for k, c in ta.items())])),
+        (-a, fraction_sum((k, -c) for k, c in ta.items())),
+        (Poly2.const(a.evaluate(v, w)),
+         fraction_sum(((0, 0), c * v ** dx * w ** dy) for (dx, dy), c in ta.items())),
         (Poly2.linear_combination([(w, a, b), (v, b, b), (1, a, w), (-w, b, a)]),
          fraction_sum(fraction_products([(w, ta, tb), (v, tb, tb), (w, ta, {(0, 0): 1}),
                                          (-w, tb, ta)]))),
@@ -274,3 +279,10 @@ def test_equal_denominators_are_added_without_gcd(monkeypatch):
     # a second, different denominator costs one gcd
     assert (a + F(1, 2)).constant_term() == F(1, d) + F(1, 2)
     assert len(calls) == 1
+
+
+def test_constants_hash_like_their_scalar():
+    for c in (0, 1, F(1, 2)):
+        p = Poly2.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
