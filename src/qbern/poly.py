@@ -8,10 +8,13 @@ Sums, differences, products, substitutions and derivatives go through
 one integer kernel, ``_collect``: each contribution to a term is a
 numerator and a denominator, contributions to one term share a running
 lcm, and each term becomes a reduced ``Fraction`` once, at the end.  A
-sum collects the terms of both operands, and evaluation is two
+sum collects the terms of both operands.  Substitution, rescaling and
+the Jackson derivative are one termwise map, ``_termwise``, whose weight
+depends only on a term's degree in one variable; evaluation is two
 substitutions.  No ``Fraction`` is built per term pair.  The stored
 coefficients stay reduced ``Fraction`` values, one per term, with no
-common denominator across terms.
+common denominator across terms.  A scalar is an ``int`` or a
+``Fraction`` (``qcore._rational``); anything else is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from .qcore import QParam, q_binomial, q_number, gauss_exponent
+from .qcore import QParam, _rational, q_binomial, q_number, gauss_exponent
 
 Key = tuple[int, int]
 Scalar = Union[Fraction, int]
@@ -63,7 +66,7 @@ class Poly2:
     def monomial(cls, dx: int, dy: int, c: Scalar = 1) -> "Poly2":
         if dx < 0 or dy < 0:
             raise ValueError(f"negative exponent ({dx}, {dy})")
-        c = Fraction(c)
+        c = _rational(c)
         return _raw({(dx, dy): c} if c else {})
 
     # -- inspection ---------------------------------------------------
@@ -93,8 +96,7 @@ class Poly2:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        # negating a reduced Fraction keeps it reduced, so no term is collected
-        return _raw({k: -c for k, c in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other: "Poly2 | Scalar") -> "Poly2":
         return _raw(_collect(chain(_ints(self), _ints(_coerce(other), -1))))
@@ -108,7 +110,7 @@ class Poly2:
                 return Poly2.zero()
             # one Fraction product per term: through _collect, n = 40 tables ran ~30% slower
             return _raw({k: c * other for k, c in self._terms.items()})
-        return Poly2.linear_combination(((1, self, other),))
+        return Poly2.linear_combination(((1, self, _coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -157,46 +159,38 @@ class Poly2:
 
     def substitute(self, var: str, value: Scalar) -> "Poly2":
         """Partial evaluation: fix one variable to a constant."""
-        i = _var_index(var)
-        value = Fraction(value)
-        vn, vd = value.numerator, value.denominator
-        return _raw(_collect(
-            (_at(k, i, 0), c.numerator * vn ** k[i], c.denominator * vd ** k[i])
-            for k, c in self._terms.items()
-        ))
+        vn, vd = _rational(value).as_integer_ratio()
+        return self._termwise(var, lambda d: (0, vn ** d, vd ** d))
 
     def scale_var(self, var: str, c: Scalar) -> "Poly2":
         """Rescale one variable: v -> c * v."""
-        i = _var_index(var)
-        c = Fraction(c)
-        cn, cd = c.numerator, c.denominator
-        return _raw(_collect(
-            (k, coef.numerator * cn ** k[i], coef.denominator * cd ** k[i])
-            for k, coef in self._terms.items()
-        ))
+        cn, cd = _rational(c).as_integer_ratio()
+        return self._termwise(var, lambda d: (d, cn ** d, cd ** d))
 
     def compose(self, var: str, replacement: "Poly2") -> "Poly2":
         """Substitute a whole polynomial for one variable."""
         i = _var_index(var)
-        powers: dict[int, Poly2] = {}
-        for k in self._terms:
-            if k[i] not in powers:
-                powers[k[i]] = replacement ** k[i]
         return Poly2.linear_combination(
-            (c, powers[k[i]], Poly2.monomial(0, k[1]) if i == 0 else Poly2.monomial(k[0], 0))
-            for k, c in self._terms.items()
+            (c, replacement ** k[i], Poly2.monomial(*_at(k, i, 0))) for k, c in self._terms.items()
         )
 
     def jackson(self, var: str, q: QParam) -> "Poly2":
         """Jackson q-derivative in one variable, by the monomial rule.
 
-        Sends v^n to [n] v^{n-1}; agrees with the difference quotient
-        (f(qv) - f(v)) / (qv - v) on polynomials.
+        Sends v^n to [n] v^{n-1}, and constants to 0 since [0] = 0; agrees
+        with the difference quotient (f(qv) - f(v)) / (qv - v) on polynomials.
         """
+        return self._termwise(var, lambda d: (d - 1, *q_number(q, d).as_integer_ratio()))
+
+    def _termwise(self, var: str, step: Callable[[int], tuple[int, int, int]]) -> "Poly2":
+        """Each term c * v^d becomes w * c * v^e, where (e, w's numerator, w's
+        denominator) = step(d), called once per degree d; a zero w drops the term."""
         i = _var_index(var)
+        steps = {d: step(d) for d in {k[i] for k in self._terms}}
+        # the key is built inline: an ``_at`` call per term made substitution ~4% slower
         return _raw(_collect(
-            (_at(k, i, k[i] - 1), c.numerator * w.numerator, c.denominator * w.denominator)
-            for k, c in self._terms.items() if k[i] and (w := q_number(q, k[i]))
+            ((e, k[1]) if i == 0 else (k[0], e), c.numerator * wn, c.denominator * wd)
+            for k, c in self._terms.items() for e, wn, wd in (steps[k[i]],) if wn
         ))
 
 
@@ -212,9 +206,7 @@ def _power(base: T, n: int) -> T:
 
 
 def _coerce(v: "Poly2 | Scalar") -> Poly2:
-    if isinstance(v, Poly2):
-        return v
-    return Poly2.const(v)
+    return v if isinstance(v, Poly2) else Poly2.const(v)
 
 
 def _raw(terms: dict[Key, Fraction]) -> Poly2:
@@ -261,8 +253,7 @@ def _checked(items: Iterable[tuple[Key, Scalar]]) -> Iterator[tuple[Key, int, in
     for (dx, dy), c in items:
         if dx < 0 or dy < 0:
             raise ValueError(f"negative exponent ({dx}, {dy})")
-        c = Fraction(c)
-        yield (dx, dy), c.numerator, c.denominator
+        yield (dx, dy), *_rational(c).as_integer_ratio()
 
 
 def _products(

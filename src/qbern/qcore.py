@@ -1,8 +1,8 @@
 """Exact q-arithmetic primitives over rational numbers.
 
 Everything here is a pure function of a rational deformation parameter q
-and small integer indices.  All results are exact ``fractions.Fraction``
-values; no floating point is used anywhere in this module.
+and small ``int`` indices, with exact ``Fraction`` results.  Any other
+index, or a scalar that is not an ``int`` or a ``Fraction``, is a ``TypeError``.
 
 ``q = None`` stands for the classical limit q -> 1 throughout: [a] is a,
 [n]! is n!, the Gaussian binomial is C(n, k) and q^{k(k-1)/2} is 1.  That
@@ -23,6 +23,7 @@ its recurrences, in the same memo.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +51,7 @@ class QParam:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", _rational(self.value))
         object.__setattr__(self, "_hash", hash(self.value))
         if self.value == 1:
             raise QParamError("q = 1 is excluded: q-integers divide by 1 - q")
@@ -69,6 +70,13 @@ class QParam:
         return str(self.value)
 
 
+def _rational(v: Fraction | int) -> Fraction:
+    """A caller's scalar as a Fraction; anything but an int or a Fraction is refused."""
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
+    raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
+
+
 @lru_cache(maxsize=MEMO_BOUND)
 def scalar_memo(kernel, q, *args):
     """kernel(q, *args), computed once while it stays in the memo."""
@@ -77,7 +85,7 @@ def scalar_memo(kernel, q, *args):
 
 def q_number(q: QParam | None, a: int) -> Fraction:
     """The q-integer [a] = (1 - q^a) / (1 - q)."""
-    if a < 0:
+    if operator.index(a) < 0:
         raise ValueError(f"q_number requires a >= 0, got {a}")
     return scalar_memo(_q_number, q, a)
 
@@ -135,7 +143,7 @@ def q_shifted_factorial(q: QParam, a: Fraction, n: int) -> Fraction:
     """(a; q)_n = prod_{j=0}^{n-1} (1 - q^j a), empty product for n = 0."""
     if n < 0:
         raise ValueError(f"q_shifted_factorial requires n >= 0, got {n}")
-    a = Fraction(a)
+    a = _rational(a)
     out = Fraction(1)
     for j in range(n):
         out *= 1 - q.power(j) * a
@@ -144,7 +152,7 @@ def q_shifted_factorial(q: QParam, a: Fraction, n: int) -> Fraction:
 
 def gauss_exponent(q: QParam | None, k: int) -> Fraction:
     """The triangular weight q^{k(k-1)/2}."""
-    if k < 0:
+    if operator.index(k) < 0:
         raise ValueError(f"gauss_exponent requires k >= 0, got {k}")
     return scalar_memo(_gauss_exponent, q, k)
 
@@ -162,7 +170,7 @@ def q_pair_power(q: QParam | None, a: Fraction, b: Fraction, n: int) -> Fraction
     """
     if n < 0:
         raise ValueError(f"q_pair_power requires n >= 0, got {n}")
-    return scalar_memo(_q_pair_power, q, Fraction(a), Fraction(b), n)
+    return scalar_memo(_q_pair_power, q, _rational(a), _rational(b), n)
 
 
 def _q_pair_power(q: QParam | None, a: Fraction, b: Fraction, n: int) -> Fraction:

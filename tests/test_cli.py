@@ -465,6 +465,18 @@ class TestLimit:
         assert [e["error"] for e in payload["errors"]] == ["1/40", "1/400"]
         assert payload["monotone_decreasing"] is True
 
+    def test_output_digest(self, capsys, tmp_path):
+        # evaluates a row at x = 7/3 for every q of the default sequence
+        out = tmp_path / "limit.json"
+        code, _, _ = run(
+            capsys, "limit", "--family", "qbernoulli", "--alpha", "2", "--n", "6",
+            "--x", "7/3", "--no-meta", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "33e02ce6eafa8ff05c4a1bbeca556cc92c4bba749dedc9204ac0648a92ae284b"
+        )
+
     def test_decimal_overflow_is_domain_error(self, capsys):
         code, out, err = run(
             capsys, "limit", "--family", "qeuler", "--n", "2", "--x", "1e400", "--no-meta"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import qbern.poly
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
-from qbern.qcore import QParam, q_number, q_pair_power
+from qbern.qcore import QParam, gauss_exponent, q_number, q_pair_power
 
 Q2 = QParam(F(1, 2))
 
@@ -90,6 +90,20 @@ class TestSubstitution:
         assert p.compose("y", -X) == -(X**3) - X
 
 
+@pytest.mark.parametrize("expr", [
+    "X + 0.1", "0.1 + X", "X - 0.5", "0.5 - X", "X * 0.5", "0.5 * X",
+    "Poly2.const(0.5)", "Poly2({(1, 0): '1/2'})",
+    "X.substitute('x', 0.5)", "X.scale_var('x', 0.5)", "X.evaluate(0.5, 1)",
+    "QParam(0.1)", "q_pair_power(Q2, 0.5, 1, 2)",
+    "q_number(Q2, F(1, 2))", "gauss_exponent(Q2, 2.5)",
+])
+def test_scalars_are_ints_or_fractions_and_indices_ints(expr):
+    # a float would enter at its binary value and a string would be parsed
+    with pytest.raises(TypeError):
+        eval(expr)
+    assert (X == 0.5) is False  # comparing is not converting
+
+
 class TestJackson:
     def test_cube(self):
         assert (X**3).jackson("x", Q2) == F(7, 4) * X**2
@@ -157,6 +171,22 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@st.composite
+def degree_grids(draw):
+    """A polynomial on a grid of x-degrees times y-degrees, so that its
+    terms share their degrees in each variable."""
+    degrees = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
+    dxs, dys = draw(degrees), draw(degrees)
+    return Poly2({(dx, dy): draw(small_fractions) for dx in dxs for dy in dys})
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=degree_grids(), b=degree_grids(), v=small_fractions, w=small_fractions)
+def test_compose_matches_evaluation(a, b, v, w):
+    assert a.compose("x", b).evaluate(v, w) == a.evaluate(b.evaluate(v, w), w)
+    assert a.compose("y", b).evaluate(v, w) == a.evaluate(v, b.evaluate(v, w))
 
 
 @given(p=polys(), var=st.sampled_from(["x", "y"]))
