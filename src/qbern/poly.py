@@ -1,27 +1,31 @@
 """Sparse bivariate polynomials in x and y over exact rationals.
 
-The term map never stores a zero coefficient, and the canonical term
-order (lexicographic in (deg_x, deg_y)) is fixed so serialized output is
-deterministic.
+A polynomial is stored as integer numerators over one positive common
+denominator (the layout of FLINT's ``fmpq_poly``), kept canonical: no
+zero numerator, no factor common to the denominator and every
+numerator, and zero is no terms over 1.  Equality compares the stored
+integers.  The canonical term order (lexicographic in (deg_x, deg_y))
+is fixed so serialized output is deterministic; ``terms()`` and
+``_terms`` build one reduced ``Fraction`` per term when they are read,
+and nothing keeps them.
 
-Sums, differences, products, substitutions and derivatives go through
-one integer kernel, ``_collect``: each contribution to a term is a
-numerator and a denominator, contributions to one term share a running
-lcm, and each term becomes a reduced ``Fraction`` once, at the end.  A
-sum collects the terms of both operands.  Substitution, rescaling and
-the Jackson derivative are one termwise map, ``_termwise``, whose weight
-depends only on a term's degree in one variable; evaluation is two
-substitutions.  No ``Fraction`` is built per term pair.  The stored
-coefficients stay reduced ``Fraction`` values, one per term, with no
-common denominator across terms.  A scalar is an ``int`` or a
-``Fraction`` (``qcore._rational``); anything else is a ``TypeError``.
+Sums, differences, products and linear combinations are one integer
+accumulation, ``_combine``: its (scalar, polynomial, polynomial) triples
+are brought to the lcm of their denominators once, each term pair adds
+one integer product to its key, and one content gcd reduces the result.
+A scalar product cancels the scalar against the denominator and the
+numerators' content before it multiplies, so it needs no gcd over the
+result.  Substitution, rescaling and the Jackson derivative are one
+termwise map, ``_termwise``, whose weight depends only on a term's
+degree in one variable; evaluation is two substitutions.  A scalar is
+an ``int`` or a ``Fraction`` (``qcore._rational``); anything else is a
+``TypeError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .qcore import QParam, _rational, q_binomial, q_number, gauss_exponent
@@ -40,13 +44,16 @@ def _var_index(var: str) -> int:
 
 
 class Poly2:
-    """Immutable sparse polynomial in x, y with Fraction coefficients."""
+    """Immutable sparse polynomial in x, y with rational coefficients: integer
+    numerators ``_num`` over one positive denominator ``_den``."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Key, Scalar] | Iterable[tuple[Key, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _collect(_checked(items))
+        parts = list(_checked(items))
+        den = lcm(*(d for _, _, d in parts))
+        self._num, self._den = _collect(((k, n * (den // d)) for k, n, d in parts), den)
 
     # -- constructors -------------------------------------------------
 
@@ -66,23 +73,29 @@ class Poly2:
     def monomial(cls, dx: int, dy: int, c: Scalar = 1) -> "Poly2":
         if dx < 0 or dy < 0:
             raise ValueError(f"negative exponent ({dx}, {dy})")
-        c = _rational(c)
-        return _raw({(dx, dy): c} if c else {})
+        n, d = _rational(c).as_integer_ratio()
+        return _raw({(dx, dy): n} if n else {}, d)
 
     # -- inspection ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
+
+    @property
+    def _terms(self) -> dict[Key, Fraction]:
+        """The coefficients as reduced ``Fraction``s, built on each read."""
+        den = self._den
+        return {k: Fraction(n, den) for k, n in self._num.items()}
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0, 0), Fraction(0))
+        return Fraction(self._num.get((0, 0), 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(dx + dy for dx, dy in self._terms)
+        return max(dx + dy for dx, dy in self._num)
 
     def terms(self) -> list[tuple[Key, Fraction]]:
         """Terms in canonical (deg_x, deg_y) lexicographic order."""
@@ -91,7 +104,7 @@ class Poly2:
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other: "Poly2 | Scalar") -> "Poly2":
-        return _raw(_collect(chain(_ints(self), _ints(_coerce(other)))))
+        return _combine([(1, 1, self, None), (1, 1, _coerce(other), None)])
 
     __radd__ = __add__
 
@@ -99,18 +112,25 @@ class Poly2:
         return self * -1
 
     def __sub__(self, other: "Poly2 | Scalar") -> "Poly2":
-        return _raw(_collect(chain(_ints(self), _ints(_coerce(other), -1))))
+        return _combine([(1, 1, self, None), (-1, 1, _coerce(other), None)])
 
     def __rsub__(self, other: Scalar) -> "Poly2":
         return _coerce(other) - self
 
     def __mul__(self, other: "Poly2 | Scalar") -> "Poly2":
         if isinstance(other, (int, Fraction)):
-            if not other:
+            cn, cd = other.as_integer_ratio()
+            if not cn:
                 return Poly2.zero()
-            # one Fraction product per term: through _collect, n = 40 tables ran ~30% slower
-            return _raw({k: c * other for k, c in self._terms.items()})
-        return Poly2.linear_combination(((1, self, _coerce(other)),))
+            # cross-cancel before multiplying (as FLINT's fmpq_poly_scalar_mul_fmpq
+            # does), so the result is reduced with no gcd over its terms: multiplying
+            # first and then dividing out the content made n = 40 tables ~35% slower
+            g1, g2 = gcd(cn, self._den), gcd(cd, *self._num.values())
+            cn, num = cn // g1, self._num.items()
+            if g2 != 1:
+                num = [(k, n // g2) for k, n in num]
+            return _raw({k: n * cn for k, n in num}, self._den // g1 * (cd // g2))
+        return _combine([(1, 1, self, _coerce(other))])
 
     __rmul__ = __mul__
 
@@ -120,7 +140,7 @@ class Poly2:
     ) -> "Poly2":
         """The sum of c * p * r over (c, p, r) triples, accumulated in one
         term dict; p and r may each be a polynomial or a scalar."""
-        return _raw(_collect(_products(terms)))
+        return _combine(_triples(terms))
 
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
@@ -132,13 +152,13 @@ class Poly2:
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         # a constant equals its scalar, so it hashes like it
-        if self._terms.keys() <= {(0, 0)}:
+        if self._num.keys() <= {(0, 0)}:
             return hash(self.constant_term())
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -184,14 +204,17 @@ class Poly2:
 
     def _termwise(self, var: str, step: Callable[[int], tuple[int, int, int]]) -> "Poly2":
         """Each term c * v^d becomes w * c * v^e, where (e, w's numerator, w's
-        denominator) = step(d), called once per degree d; a zero w drops the term."""
+        denominator) = step(d), called once per degree d; a zero w drops the term.
+        The weights are brought to the lcm of their denominators once per degree."""
         i = _var_index(var)
-        steps = {d: step(d) for d in {k[i] for k in self._terms}}
+        steps = {d: step(d) for d in {k[i] for k in self._num}}
+        den = lcm(*(wd for _, wn, wd in steps.values() if wn))
+        steps = {d: (e, wn * (den // wd)) for d, (e, wn, wd) in steps.items() if wn}
         # the key is built inline: an ``_at`` call per term made substitution ~4% slower
-        return _raw(_collect(
-            ((e, k[1]) if i == 0 else (k[0], e), c.numerator * wn, c.denominator * wd)
-            for k, c in self._terms.items() for e, wn, wd in (steps[k[i]],) if wn
-        ))
+        return _raw(*_collect((
+            ((e, k[1]) if i == 0 else (k[0], e), n * w)
+            for k, n in self._num.items() if k[i] in steps for e, w in (steps[k[i]],)
+        ), self._den * den))
 
 
 def _power(base: T, n: int) -> T:
@@ -209,9 +232,9 @@ def _coerce(v: "Poly2 | Scalar") -> Poly2:
     return v if isinstance(v, Poly2) else Poly2.const(v)
 
 
-def _raw(terms: dict[Key, Fraction]) -> Poly2:
+def _raw(num: dict[Key, int], den: int) -> Poly2:
     p = Poly2.__new__(Poly2)
-    p._terms = terms
+    p._num, p._den = num, den
     return p
 
 
@@ -220,61 +243,82 @@ def _at(k: Key, i: int, d: int) -> Key:
     return (d, k[1]) if i == 0 else (k[0], d)
 
 
-def _collect(contributions: Iterable[tuple[Key, int, int]]) -> dict[Key, Fraction]:
-    """The term dict of a sum of (key, numerator, denominator) contributions.
-
-    Denominators are positive.  Each key keeps one running numerator over
-    the lcm of its denominators: a plain add when the denominators are
-    equal, one gcd otherwise.  Each key is reduced once, at the end, and
-    dropped if it sums to zero.
-    """
-    acc: dict[Key, list[int]] = {}
+def _collect(contributions: Iterable[tuple[Key, int]], den: int) -> tuple[dict[Key, int], int]:
+    """The canonical numerators and denominator of a sum of (key, numerator)
+    contributions over the one positive denominator ``den``: the
+    constructor's terms and the termwise map's moved terms."""
+    acc: dict[Key, int] = {}
     get = acc.get
-    for k, n, d in contributions:
+    for k, n in contributions:
         e = get(k)
-        if e is None:
-            acc[k] = [n, d]
-        elif e[1] == d:
-            e[0] += n
-        else:
-            g = gcd(e[1], d)
-            e[0] = e[0] * (d // g) + n * (e[1] // g)
-            e[1] = e[1] // g * d
-    return {k: Fraction(n, d) for k, (n, d) in acc.items() if n}
+        acc[k] = n if e is None else e + n
+    return _reduced(acc, den)
 
 
-def _ints(p: Poly2, sign: int = 1) -> Iterator[tuple[Key, int, int]]:
-    """The terms of ``sign * p`` as contributions."""
-    return ((k, sign * c.numerator, c.denominator) for k, c in p._terms.items())
+def _reduced(acc: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
+    """Summed numerators over ``den`` in canonical form: zeros dropped and
+    the content gcd divided out, so zero is ``{}`` over 1."""
+    # most results have no zero term; copying the dict anyway made a verify run ~6% slower
+    num = {k: n for k, n in acc.items() if n} if 0 in acc.values() else acc
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {k: n // g for k, n in num.items()}, den // g
+
+
+def _combine(triples: Iterable[tuple[int, int, Poly2, Poly2 | None]]) -> Poly2:
+    """The sum of cn/cd * p * r over (cn, cd, p, r), with r = None for 1.
+
+    Every triple is brought to the lcm of the triples' denominators
+    cd * p._den * r._den, once, and each of its term pairs adds one integer
+    product to one term dict.  The loops add into the dict themselves:
+    feeding the pairs to ``_collect`` through a generator made a
+    default-grid verify run ~9% slower.
+    """
+    parts = [(cn, cd * p._den * (r._den if r else 1), p, r) for cn, cd, p, r in triples]
+    den = lcm(*(d for _, d, _, _ in parts))
+    acc: dict[Key, int] = {}
+    get = acc.get
+    for cn, d, p, r in parts:
+        s = cn * (den // d)
+        if r is None:
+            for k, n in p._num.items():
+                e = get(k)
+                acc[k] = s * n if e is None else e + s * n
+            continue
+        rs = r._num.items()
+        for (ax, ay), an in p._num.items():
+            a = s * an
+            for (bx, by), bn in rs:
+                k = (ax + bx, ay + by)
+                e = get(k)
+                acc[k] = a * bn if e is None else e + a * bn
+    return _raw(*_reduced(acc, den))
+
+
+def _triples(
+    terms: Iterable[tuple[Scalar, "Poly2 | Scalar", "Poly2 | Scalar"]]
+) -> Iterator[tuple[int, int, Poly2, Poly2 | None]]:
+    """Caller (c, p, r) triples as (cn, cd, p, r) with p a polynomial and r a
+    polynomial or None; every scalar enters through ``_rational``."""
+    for c, p, r in terms:
+        cn, cd = _rational(c).as_integer_ratio()
+        if not isinstance(p, Poly2):
+            p, r = r, p
+        if not isinstance(r, Poly2):
+            rn, rd = _rational(r).as_integer_ratio()
+            cn, cd, r = cn * rn, cd * rd, None
+        p = _coerce(p)
+        if cn:
+            yield cn, cd, p, r
 
 
 def _checked(items: Iterable[tuple[Key, Scalar]]) -> Iterator[tuple[Key, int, int]]:
-    """Constructor input as contributions, rejecting negative exponents."""
+    """Constructor input as (key, numerator, denominator), rejecting negative exponents."""
     for (dx, dy), c in items:
         if dx < 0 or dy < 0:
             raise ValueError(f"negative exponent ({dx}, {dy})")
         yield (dx, dy), *_rational(c).as_integer_ratio()
-
-
-def _products(
-    terms: Iterable[tuple[Scalar, "Poly2 | Scalar", "Poly2 | Scalar"]]
-) -> Iterator[tuple[Key, int, int]]:
-    """Every term pair of every c * p * r as one contribution."""
-    for c, p, r in terms:
-        if not isinstance(p, Poly2):
-            p, r = r, p
-        cn, cd = c.numerator, c.denominator
-        if isinstance(r, Poly2):
-            rs = [(bx, by, bc.numerator, bc.denominator) for (bx, by), bc in r._terms.items()]
-        else:
-            cn, cd = cn * r.numerator, cd * r.denominator
-            rs = [(0, 0, 1, 1)]
-        if not cn:
-            continue
-        for (ax, ay), ac in _coerce(p)._terms.items():
-            an, ad = cn * ac.numerator, cd * ac.denominator
-            for bx, by, bn, bd in rs:
-                yield (ax + bx, ay + by), an * bn, ad * bd
 
 
 X = Poly2.monomial(1, 0)
@@ -288,9 +332,4 @@ def symbolic_pair_power(q: QParam | None, n: int) -> Poly2:
     """
     if n < 0:
         raise ValueError(f"symbolic_pair_power requires n >= 0, got {n}")
-    return _raw(
-        {
-            (n - k, k): q_binomial(q, n, k) * gauss_exponent(q, k)
-            for k in range(n + 1)
-        }
-    )
+    return Poly2({(n - k, k): q_binomial(q, n, k) * gauss_exponent(q, k) for k in range(n + 1)})

@@ -72,6 +72,8 @@ class QParam:
 
 def _rational(v: Fraction | int) -> Fraction:
     """A caller's scalar as a Fraction; anything but an int or a Fraction is refused."""
+    if type(v) is Fraction:  # immutable, so returned as is: no copy on the kernel's hot path
+        return v
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
@@ -98,7 +100,7 @@ def _q_number(q: QParam | None, a: int) -> Fraction:
 
 def q_factorial(q: QParam | None, n: int) -> Fraction:
     """[n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"q_factorial requires n >= 0, got {n}")
     return scalar_memo(_q_factorial, q, n)
 
@@ -120,7 +122,7 @@ def q_binomial(q: QParam | None, n: int, k: int) -> Fraction:
     Out-of-range (k < 0 or k > n) is an error on purpose: silent zeros
     hide index bugs in identity checkers.
     """
-    if not 0 <= k <= n:
+    if not 0 <= operator.index(k) <= operator.index(n):
         raise ValueError(f"q_binomial requires 0 <= k <= n, got n={n}, k={k}")
     return scalar_memo(_q_binomial, q, n, k)
 
@@ -168,7 +170,7 @@ def q_pair_power(q: QParam | None, a: Fraction, b: Fraction, n: int) -> Fraction
 
     Sum over k of [n choose k] q^{k(k-1)/2} a^{n-k} b^k.
     """
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError(f"q_pair_power requires n >= 0, got {n}")
     return scalar_memo(_q_pair_power, q, _rational(a), _rational(b), n)
 

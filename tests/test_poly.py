@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qbern.poly
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern.qcore import QParam, gauss_exponent, q_number, q_pair_power
 
@@ -96,6 +95,8 @@ class TestSubstitution:
     "X.substitute('x', 0.5)", "X.scale_var('x', 0.5)", "X.evaluate(0.5, 1)",
     "QParam(0.1)", "q_pair_power(Q2, 0.5, 1, 2)",
     "q_number(Q2, F(1, 2))", "gauss_exponent(Q2, 2.5)",
+    "Poly2.linear_combination([(0.5, X, Y)])", "Poly2.linear_combination([(1, 0.5, Y)])",
+    "Poly2.linear_combination([(1, X, 0.5)])",
 ])
 def test_scalars_are_ints_or_fractions_and_indices_ints(expr):
     # a float would enter at its binary value and a string would be parsed
@@ -296,19 +297,35 @@ def test_kernel_matches_fraction_arithmetic(ab, w, v, var):
             assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
 
-def test_equal_denominators_are_added_without_gcd(monkeypatch):
-    calls = []
-    monkeypatch.setattr(qbern.poly, "gcd", lambda m, n: calls.append((m, n)) or math.gcd(m, n))
-    d = 3 ** 20
-    a = Poly2({(i, 0): F(3 * i + 1, d) for i in range(5)})
-    b = Poly2({(i, 0): F(3 * i - 1, d) for i in range(5)})
-    assert (a + b)._terms == {(i, 0): F(6 * i, d) for i in range(1, 5)}
-    assert (a - b)._terms == {(i, 0): F(2, d) for i in range(5)}
-    assert Poly2.linear_combination([(1, a, Y), (-1, b, Y)])._terms == {(i, 1): F(2, d) for i in range(5)}
-    assert calls == []
-    # a second, different denominator costs one gcd
-    assert (a + F(1, 2)).constant_term() == F(1, d) + F(1, 2)
-    assert len(calls) == 1
+def assert_canonical(p):
+    """Integer numerators over one positive denominator, with no common
+    factor and no zero numerator; zero is {} over 1."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(n) is int and n for n in p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ab=overlapping_terms(), w=wide_fractions, v=wide_fractions, var=st.sampled_from(["x", "y"]))
+def test_every_result_is_canonical(ab, w, v, var):
+    a, b = Poly2(ab[0]), Poly2(ab[1])
+    for p in (a, b, a + b, a - b, b - a, a + w, w - a, -a, a * w, w * b, a * 0, a * b,
+              Poly2.linear_combination([(w, a, b), (v, b, b), (1, a, w), (-w, b, a)]),
+              Poly2.linear_combination([(1, a, b), (-1, b, a)]),
+              a.substitute(var, v), a.substitute(var, 0), a.scale_var(var, w),
+              a.jackson(var, Q_WIDE), a.jackson(var, Q2)):
+        assert_canonical(p)
+
+
+def test_scalar_product_cancels_to_an_integer_denominator():
+    p = (X + 1) * F(1, 3**20)
+    assert p._den == 3**20
+    back = p * 3**20
+    assert back == X + 1 and back._den == 1
+    assert_canonical(back)
+    assert (F(3, 2) * (X + 1)) * F(2, 3) == X + 1
+    assert_canonical(Poly2.zero())
+    assert Poly2.zero()._den == 1 and (X - X)._den == 1
 
 
 def test_constants_hash_like_their_scalar():

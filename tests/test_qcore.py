@@ -225,6 +225,17 @@ class TestScalarMemo:
         with pytest.raises(ValueError):
             q_factorial(q, -1)
 
+    def test_float_indices_raise_after_a_cached_hit(self):
+        # a float hashes and compares like its int, so it would read the int's entry
+        q = QParam(F(1, 2))
+        assert q_binomial(q, 4, 2) == F(35, 16)
+        assert q_factorial(q, 3) == F(21, 8)
+        assert q_pair_power(q, 1, 1, 3) == q_pair_power(q, 1, 1, 3)
+        for call in (lambda: q_binomial(q, 4, 2.0), lambda: q_binomial(q, 4.0, 2),
+                     lambda: q_factorial(q, 3.0), lambda: q_pair_power(q, 1, 1, 3.0)):
+            with pytest.raises(TypeError):
+                call()
+
     def test_deep_factorial_keeps_its_q_integers_out(self):
         q = QParam(F(23, 29))
         q_binomial(q, 3, 1)
