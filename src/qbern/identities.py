@@ -9,10 +9,10 @@ Vocabulary: ``qconv(q, n, a, b, w)`` = sum_k [n k]_q w(k) a(k) b(n - k),
 the convolution most formulas are built from; a table ``T`` has rows
 ``T[n]``, projected rows ``T.x0``, ``T.y0``, ``T.ym1`` (x = 0, y = 0,
 y = -1) and numbers ``T.num``; a named sequence ``c.seq(name, f, *axes)``
-is f keyed on q and the point's values of ``axes``.  Tables and named
-sequences are built once per run, in one store.  ``q = None`` is
-the classical limit (see ``qcore``), so a classical q -> 1 instance of a
-q-identity is that definition at q = None.
+is f keyed on q and the point's values of ``axes``.  One store builds
+each table and sequence value, pair and recurrence powers included, once
+per run.  ``q = None`` is the classical limit (see ``qcore``), so a
+classical q -> 1 instance of a q-identity is that definition at q = None.
 
 A few printed formulas in the source material carry typos.  Corrections
 are data, not silent edits: every corrected identity carries a
@@ -27,11 +27,10 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .poly import Poly2, X, symbolic_pair_power
-from .qcore import QParam, q_binomial, q_number, q_pair_power, gauss_exponent, scalar_memo
+from .qcore import QParam, q_binomial, q_number, q_pair_power, gauss_exponent
 from .series import Eq_series, eq_series
 from .qspecial import FamilySpec, PolyTable, family_table, q_bernstein, q_stirling2
 
@@ -152,10 +151,6 @@ def qconv(q: QParam | None, n: int, a, b, w: Callable = _one) -> Poly2:
     )
 
 
-def _recurrence_power(q: QParam | None, m: int, p: int) -> Fraction:
-    return q_pair_power(q, Fraction(1, m), Fraction(-1), p)
-
-
 class Point:
     """One parameter tuple of an identity and the tables its formulas read.
 
@@ -180,29 +175,32 @@ class Point:
         key = (name, self.q, *(getattr(self, a) for a in axes))
         return lambda i: self.cache.once((*key, i), lambda: f(i))
 
-    B = cached_property(lambda c: c.table(BERN, c.alpha))
-    E = cached_property(lambda c: c.table(EUL, c.alpha))
-    Bm = cached_property(lambda c: c.table(BERN, c.alpha - 1))
-    Em = cached_property(lambda c: c.table(EUL, c.alpha - 1))
-    B1 = cached_property(lambda c: c.table(BERN, 1))
-    E1 = cached_property(lambda c: c.table(EUL, 1))
-    T = cached_property(lambda c: c.table(KINDS[c.kind], c.alpha))
+    B = property(lambda c: c.table(BERN, c.alpha))
+    E = property(lambda c: c.table(EUL, c.alpha))
+    Bm = property(lambda c: c.table(BERN, c.alpha - 1))
+    Em = property(lambda c: c.table(EUL, c.alpha - 1))
+    B1 = property(lambda c: c.table(BERN, 1))
+    E1 = property(lambda c: c.table(EUL, 1))
+    T = property(lambda c: c.table(KINDS[c.kind], c.alpha))
 
     def ey(self, j: int) -> Poly2:
         """q^{j(j-1)/2} y^j: the order-zero polynomial at x = 0."""
         return Poly2.monomial(0, j, gauss_exponent(self.q, j))
 
-    def pair(self, j: int) -> Poly2:
+    @property
+    def pair(self) -> Callable[[int], Poly2]:
         """The q-analogue of (x + y)^j: the order-zero polynomial."""
-        return symbolic_pair_power(self.q, j)
+        return self.seq("pair", lambda j: symbolic_pair_power(self.q, j))
 
-    def pair_ym1(self, j: int) -> Poly2:
-        return self.pair(j).substitute("y", -1)
+    @property
+    def pair_ym1(self) -> Callable[[int], Poly2]:
+        return self.seq("pair_ym1", lambda j: self.pair(j).substitute("y", -1))
 
-    def P(self, p: int) -> Fraction:
-        """The scalar (1/m + (-1))-pair power of the recurrences, memoized on
-        the integer m so that a read builds and hashes no Fraction."""
-        return scalar_memo(_recurrence_power, self.q, self.m, p)
+    @property
+    def P(self) -> Callable[[int], Fraction]:
+        """The scalar (1/m + (-1))-pair powers of the recurrences, kept in the
+        run's store under q and the integer m: a read builds and hashes no Fraction."""
+        return self.seq("P", lambda p: q_pair_power(self.q, Fraction(1, self.m), -1, p), "m")
 
     def ysum(self, k: int, s) -> Poly2:
         """sum_j [k j] m^j s(j)."""

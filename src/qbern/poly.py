@@ -24,6 +24,7 @@ an ``int`` or a ``Fraction`` (``qcore._rational``); anything else is a
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
@@ -71,10 +72,9 @@ class Poly2:
 
     @classmethod
     def monomial(cls, dx: int, dy: int, c: Scalar = 1) -> "Poly2":
-        if dx < 0 or dy < 0:
-            raise ValueError(f"negative exponent ({dx}, {dy})")
+        key = _key(dx, dy)
         n, d = _rational(c).as_integer_ratio()
-        return _raw({(dx, dy): n} if n else {}, d)
+        return _raw({key: n} if n else {}, d)
 
     # -- inspection ---------------------------------------------------
 
@@ -313,12 +313,19 @@ def _triples(
             yield cn, cd, p, r
 
 
+def _key(dx: int, dy: int) -> Key:
+    """An exponent pair as a key of two ints: a non-integer exponent is a
+    ``TypeError`` and a negative one a ``ValueError``."""
+    key = (operator.index(dx), operator.index(dy))
+    if key[0] < 0 or key[1] < 0:
+        raise ValueError(f"negative exponent ({dx}, {dy})")
+    return key
+
+
 def _checked(items: Iterable[tuple[Key, Scalar]]) -> Iterator[tuple[Key, int, int]]:
-    """Constructor input as (key, numerator, denominator), rejecting negative exponents."""
+    """Constructor input as (key, numerator, denominator), the key through ``_key``."""
     for (dx, dy), c in items:
-        if dx < 0 or dy < 0:
-            raise ValueError(f"negative exponent ({dx}, {dy})")
-        yield (dx, dy), *_rational(c).as_integer_ratio()
+        yield _key(dx, dy), *_rational(c).as_integer_ratio()
 
 
 X = Poly2.monomial(1, 0)

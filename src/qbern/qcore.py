@@ -10,14 +10,13 @@ one convention turns every q-formula built from these primitives into
 its classical counterpart.
 
 The scalars are asked for over and over with few distinct arguments (a
-``verify`` run on the default grid reads 84,040 of them, of 601 distinct
-entries: 83,439 hits and 601 misses in its meta ``timing.scalar_memo``),
+``verify`` run on the default grid reads 57,993 of them, of 511 distinct
+entries: 57,482 hits and 511 misses in its meta ``timing.scalar_memo``),
 so each public function checks its arguments and then reads
 ``scalar_memo``: one least-recently-used memo keyed on (kernel, q,
 arguments), with a fixed bound so that a caller streaming new q values
 evicts old entries instead of growing the process.
-``qspecial`` keeps its Stirling rows, and ``identities`` the pair powers of
-its recurrences, in the same memo.
+``qspecial`` keeps its Stirling rows in the same memo.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ The two paths of each family share no series code.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -132,7 +133,8 @@ def q_euler_numbers_recurrence(q: QParam, max_n: int) -> list[Fraction]:
 def q_stirling2(q: QParam | None, m: int, k: int) -> Fraction:
     """q-Stirling number of the second kind: [m]! times the t^m coefficient
     of (e(t) - 1)^k / [k]!, read from row m of its triangle."""
-    if m < 0 or k < 0:
+    # a float index would read its int's row from the memo, so it is refused first
+    if operator.index(m) < 0 or operator.index(k) < 0:
         raise ValueError("q_stirling2 requires m, k >= 0")
     return scalar_memo(_stirling2_row, q, m)[k] if k <= m else Fraction(0)
 

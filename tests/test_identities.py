@@ -143,14 +143,24 @@ def test_reports_are_deterministically_ordered():
 
 
 def test_recurrence_power_hit_hashes_no_fraction(monkeypatch):
-    q = QParam(F(1, 2))
-    first = identities.Point(None, q=q, m=3).P(4)
+    q, cache = QParam(F(1, 2)), identities.TableCache(0)
+    first = identities.Point(cache, q=q, m=3).P(4)
     assert first == identities.q_pair_power(q, F(1, 3), F(-1), 4)
     # a second read is keyed on the integer m: it builds and hashes no Fraction
     calls = []
     monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or 0)
-    assert identities.Point(None, q=q, m=3).P(4) == first
+    assert identities.Point(cache, q=q, m=3).P(4) == first
     assert calls == []
+
+
+def test_each_pair_power_is_built_once_per_run(monkeypatch):
+    calls = []
+    real = identities.symbolic_pair_power
+    monkeypatch.setattr(identities, "symbolic_pair_power",
+                        lambda q, j: calls.append((q, j)) or real(q, j))
+    run_suite("all", SMALL)
+    # alpha-zero reads j <= 10 at both q, the classical corollaries j <= 6 at q = None
+    assert len(calls) == len(set(calls)) == 2 * 11 + 7
 
 
 def test_one_table_cache_per_run(monkeypatch):

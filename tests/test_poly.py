@@ -97,6 +97,8 @@ class TestSubstitution:
     "q_number(Q2, F(1, 2))", "gauss_exponent(Q2, 2.5)",
     "Poly2.linear_combination([(0.5, X, Y)])", "Poly2.linear_combination([(1, 0.5, Y)])",
     "Poly2.linear_combination([(1, X, 0.5)])",
+    "Poly2.monomial(1.5, 0)", "Poly2({(1.5, 0): 1})", "Poly2.monomial(2.0, 0)",
+    "Poly2({(0, 2.0): 1})",
 ])
 def test_scalars_are_ints_or_fractions_and_indices_ints(expr):
     # a float would enter at its binary value and a string would be parsed

@@ -237,6 +237,14 @@ class TestStirling:
                 closed = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
                 assert q_stirling2(None, n, k) == F(closed, math.factorial(k))
 
+    @pytest.mark.parametrize("q", [Q2, None], ids=["q=1/2", "q=None"])
+    def test_float_indices_raise_after_a_cached_hit(self, q):
+        # a float hashes and compares like its int, so it would read the int's row
+        assert q_stirling2(q, 3, 1) == 1
+        for call in (lambda: q_stirling2(q, 3.0, 1), lambda: q_stirling2(q, 3, 1.0)):
+            with pytest.raises(TypeError):
+                call()
+
     def test_classical_deep_row_builds_without_recursion(self):
         # a cold read of a deep row builds it iteratively
         assert q_stirling2(None, 1500, 1499) == math.comb(1500, 2)
