@@ -25,6 +25,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
 
 from . import __version__
 from .poly import Poly2
@@ -55,8 +56,11 @@ class CliError(Exception):
 
 
 def poly_terms(p: Poly2) -> list[dict]:
+    """The terms of ``p`` as rows; a coefficient is ``"n"`` or ``"n/d"`` in
+    lowest terms, formatted from its integers with no ``Fraction`` built."""
     return [
-        {"dx": dx, "dy": dy, "coeff": str(c)} for (dx, dy), c in p.terms()
+        {"dx": dx, "dy": dy, "coeff": f"{n}/{d}" if d != 1 else str(n)}
+        for (dx, dy), n, d in p.term_ratios()
     ]
 
 
@@ -317,6 +321,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json(doc: dict | list) -> list[str]:
+    """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for
+    a document of dicts with string keys, lists, strings, ints, floats,
+    bools and None.
+
+    With ``indent`` set, ``json.dumps`` leaves its C encoder for a
+    pure-Python one.  Here each separator, key and scalar is one chunk, and
+    the caller writes the chunks as they are: joining them first would add
+    two buffers the size of the whole output, the joined text and its
+    encoded bytes.
+    """
+    chunks: list[str] = []
+    put = chunks.append
+
+    # ``write`` is handed itself rather than naming itself from the enclosing
+    # scope: a closure that names itself is a reference cycle, which keeps
+    # ``chunks`` alive after the write, until the garbage collector runs
+    def write(v: dict | list, head: str, nl: str, write) -> None:
+        """``head`` and then the container ``v``, whose closing line starts with ``nl``."""
+        is_dict = isinstance(v, dict)
+        if not v:
+            put(head + ("{}" if is_dict else "[]"))
+            return
+        put(head + ("{" if is_dict else "["))
+        inner = nl + "  "
+        sep, comma = inner, "," + inner
+        for k, x in v.items() if is_dict else zip(repeat(None), v):
+            h = f"{sep}{_string(k)}: " if is_dict else sep
+            sep = comma
+            if isinstance(x, str):
+                put(h + _string(x))
+            elif type(x) is int:
+                put(h + int.__repr__(x))
+            elif isinstance(x, (dict, list, tuple)):
+                write(x, h, inner, write)
+            else:  # a float, bool or None; any other type is json's TypeError
+                put(h + json.dumps(x))
+        put(nl + ("}" if is_dict else "]"))
+
+    write(doc, "", "\n", write)
+    put("\n")
+    return chunks
+
+
 def _emit(argv: list[str], args, payload: dict, text: str | None = None) -> None:
     """Write ``text``, or the payload as JSON under a meta block unless --no-meta."""
     if text is None:
@@ -330,15 +381,17 @@ def _emit(argv: list[str], args, payload: dict, text: str | None = None) -> None
             },
             "payload": payload,
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        chunks = _json(doc)
+    else:
+        chunks = [text]
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 COMMANDS = {"table": _table_payload, "verify": _verify_payload, "limit": _limit_payload}

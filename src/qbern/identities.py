@@ -11,8 +11,11 @@ the convolution most formulas are built from; a table ``T`` has rows
 y = -1) and numbers ``T.num``; a named sequence ``c.seq(name, f, *axes)``
 is f keyed on q and the point's values of ``axes``.  One store builds
 each table and sequence value, pair and recurrence powers included, once
-per run.  ``q = None`` is the classical limit (see ``qcore``), so a
-classical q -> 1 instance of a q-identity is that definition at q = None.
+per run.  Every ``c.B`` is a read of that store, so a formula that reads
+a table at each index binds it once, as a local or as a lambda default
+(``lambda j, B=c.B: ...``).  ``q = None`` is the classical limit (see
+``qcore``), so a classical q -> 1 instance of a q-identity is that
+definition at q = None.
 
 A few printed formulas in the source material carry typos.  Corrections
 are data, not silent edits: every corrected identity carries a
@@ -277,12 +280,14 @@ def _be10(c: Point) -> Poly2:
 
 def _cw(c: Point, e) -> Poly2:
     """sum_k [n k] b_k e(n - k), with the k = 1 number raised by 1/2."""
-    return qconv(c.q, c.n, lambda k: c.B.num[k] + (Fraction(1, 2) if k == 1 else 0), e)
+    b = c.B.num
+    return qconv(c.q, c.n, lambda k: b[k] + (Fraction(1, 2) if k == 1 else 0), e)
 
 
 def _euler_c4(c: Point, b) -> Poly2:
     """-sum_k 2 [n k] / [k + 1] e_{k+1} b(n - k)."""
-    return qconv(c.q, c.n, lambda k: c.E.num[k + 1], b, lambda k: -2 / q_number(c.q, k + 1))
+    e = c.E.num
+    return qconv(c.q, c.n, lambda k: e[k + 1], b, lambda k: -2 / q_number(c.q, k + 1))
 
 
 def _stirling_rhs(c: Point) -> Poly2:
@@ -405,12 +410,12 @@ check_inversion = _suite(
 )
 check_recurrence = _suite(
     "lemma5", "Lemma 5: the four recurrences with the scaling modulus m.",
-    ("be11", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j: c.B.y0[j] - c.B.ym1[j]),
+    ("be11", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j, B=c.B: B.y0[j] - B.ym1[j]),
      lambda c: c.m * q_number(c.q, c.k) * c.ysum(c.k - 1, c.Bm.ym1)),
     ("be11-1", (K, ALPHA, M, Q),
      lambda c: c.B[c.k].substitute("x", Fraction(1, c.m)) - c.xsum(c.k, c.B.x0),
      lambda c: q_number(c.q, c.k) * c.xsum(c.k - 1, c.Bm.x0)),
-    ("be12", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j: c.E.y0[j] + c.E.ym1[j]),
+    ("be12", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j, E=c.E: E.y0[j] + E.ym1[j]),
      lambda c: 2 * c.ysum(c.k, c.Em.ym1)),
     ("be12-1", (K, ALPHA, M, Q),
      lambda c: c.E[c.k].substitute("x", Fraction(1, c.m)) + c.xsum(c.k, c.E.x0),
@@ -435,13 +440,13 @@ check_corollaries = _suite(
     ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "euler-c1", c.pair_ym1),
      "classical-euler-c2-2"),
     ("cw1", (N, Q), lambda c: c.B[c.n],
-     lambda c: qconv(c.q, c.n, lambda k: c.B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)
-                     if k else c.B.x0[0], c.E.y0),
+     lambda c: qconv(c.q, c.n, lambda k, B=c.B: B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)
+                     if k else B.x0[0], c.E.y0),
      "classical-c2-1"),
     ("cw2", (N, Q), lambda c: c.B.y0[c.n], lambda c: _cw(c, c.E.y0)),
     ("cw3", (N, Q), lambda c: c.B.x0[c.n], lambda c: _cw(c, c.E.x0)),
     ("euler-c3", (N, Q), lambda c: c.E[c.n],
-     lambda c: qconv(c.q, c.n, lambda k: c.ey(k + 1) - c.E.x0[k + 1], c.B.y0,
+     lambda c: qconv(c.q, c.n, lambda k, E=c.E: c.ey(k + 1) - E.x0[k + 1], c.B.y0,
                      lambda k: 2 / q_number(c.q, k + 1)),
      "classical-euler-c2-1"),
     ("euler-c4-x", (N, Q), lambda c: c.E.y0[c.n], lambda c: _euler_c4(c, c.B.y0)),

@@ -7,7 +7,8 @@ numerator, and zero is no terms over 1.  Equality compares the stored
 integers.  The canonical term order (lexicographic in (deg_x, deg_y))
 is fixed so serialized output is deterministic; ``terms()`` and
 ``_terms`` build one reduced ``Fraction`` per term when they are read,
-and nothing keeps them.
+and nothing keeps them, while ``term_ratios()`` gives each term's
+reduced numerator and denominator as ints, with no ``Fraction``.
 
 Sums, differences, products and linear combinations are one integer
 accumulation, ``_combine``: its (scalar, polynomial, polynomial) triples
@@ -100,6 +101,13 @@ class Poly2:
     def terms(self) -> list[tuple[Key, Fraction]]:
         """Terms in canonical (deg_x, deg_y) lexicographic order."""
         return sorted(self._terms.items())
+
+    def term_ratios(self) -> list[tuple[Key, int, int]]:
+        """``terms()`` as (key, numerator, denominator) ints in lowest terms,
+        the denominator positive: one ``gcd`` per term and no ``Fraction``."""
+        den = self._den
+        return [(k, n // g, den // g)
+                for k, n in sorted(self._num.items()) for g in (gcd(n, den),)]
 
     # -- ring arithmetic ----------------------------------------------
 

@@ -7,10 +7,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qbern
 import qbern.cli
-from qbern.cli import KINDS, main, poly_latex, poly_terms
+from qbern.cli import KINDS, _json, main, poly_latex, poly_terms
 from qbern.identities import default_grid
 from qbern.poly import Poly2, X, Y
 from qbern.qcore import QParam
@@ -513,6 +514,10 @@ def test_negative_value_after_a_space(capsys, argv, option):
     assert spaced == joined
 
 
+exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
+coefficients = st.integers(-10**12, 10**12) | st.fractions(max_denominator=10**6)
+
+
 class TestSerialization:
     def test_poly_terms_round_trip(self):
         p = X**2 - F(2, 3) * X * Y + Poly2.const(F(5, 7))
@@ -525,6 +530,77 @@ class TestSerialization:
 
     def test_poly_latex_zero(self):
         assert poly_latex(poly_terms(Poly2.zero())) == "0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.dictionaries(exponents, coefficients, max_size=6),
+           b=st.dictionaries(exponents, coefficients, max_size=6),
+           cancel=st.sets(exponents))
+    def test_poly_terms_formats_the_reduced_fractions(self, a, b, cancel):
+        # b cancels a at the keys in ``cancel``; the sum's terms share one
+        # denominator, so most of them reduce by a gcd above 1
+        b.update({k: -a[k] for k in cancel & a.keys()})
+        for p in (Poly2(a) + Poly2(b), Poly2(a) - Poly2(a)):
+            assert poly_terms(p) == [
+                {"dx": dx, "dy": dy, "coeff": str(c)} for (dx, dy), c in p.terms()
+            ]
+        assert poly_terms(Poly2.zero()) == []
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.11")
+    def test_coefficient_over_the_digit_limit_is_domain_error(self, capsys, tmp_path):
+        # the n = 14 row at this q has a 741-digit denominator; 640 is the lowest limit
+        target = tmp_path / "t.json"
+        argv = ("table", "--family", "qbernoulli", "--n-max", "14",
+                "--q", "1234567/7654321", "--no-meta", "--out", str(target))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: ") and "Traceback" not in err
+        assert not target.exists()
+        assert run(capsys, *argv) == (0, "", "")
+        assert target.exists()
+
+
+json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aé€\u2028\U0001f600') | st.characters(),
+                    max_size=8)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+                | st.floats() | json_text)
+
+
+def json_containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(json_text, children, max_size=4))
+
+
+json_documents = json_containers(st.recursive(json_scalars, json_containers, max_leaves=16))
+
+
+class TestJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=json_documents)
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, False, None, {}, []])
+    def test_matches_json_dumps_indent_2(self, doc):
+        assert "".join(_json(doc)) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "all", "--n-max", "3", "--alpha-set", "1,2", "--m-set", "1,2",
+         "--q-set", "1/2,-7/3"),
+        ("limit", "--family", "qbernoulli", "--alpha", "2", "--n", "6", "--x", "7/3"),
+        ("table", "--family", "qbernstein", "--n-max", "6", "--q=-7/3", "--no-meta"),
+        ("table", "--family", "qeuler", "--alpha", "3", "--n-max", "12", "--q", "7/11",
+         "--no-meta"),
+    ])
+    def test_real_documents_match_json_dumps(self, capsys, argv):
+        # the verify and limit documents keep their meta block, timing floats included
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert ("meta" in doc) == ("--no-meta" not in argv)
+        assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_module_runs_as_script():
