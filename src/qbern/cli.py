@@ -37,7 +37,7 @@ from .qspecial import (
     family_table,
     is_monotone_decreasing,
     q_bernstein,
-    q_stirling2,
+    q_stirling2_rows,
 )
 
 # The Bernoulli and Euler families and their kinds; the classical ones are
@@ -144,8 +144,9 @@ def _table_payload(args) -> dict:
     if family == "qbernstein":
         name, key, cell = "entries", "poly", lambda n, k: poly_terms(q_bernstein(q, n, k))
     else:
-        name, key = "rows", "value"
-        cell = lambda n, k: str(q_stirling2(q, n, k))
+        # one build of the triangle serves every row, and the memo keeps none of it
+        name, key, rows = "rows", "value", list(q_stirling2_rows(q, n_max))
+        cell = lambda n, k: str(rows[n][k])
     payload[name] = [
         {"n": n, "k": k, key: cell(n, k)} for n in range(n_max + 1) for k in range(n + 1)
     ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .poly import Poly2, X, symbolic_pair_power
+from .poly import Poly2, symbolic_pair_power
 from .qcore import QParam, q_binomial, q_number, q_pair_power, gauss_exponent
 from .series import Eq_series, eq_series
 from .qspecial import FamilySpec, PolyTable, family_table, q_bernstein, q_stirling2
@@ -149,6 +149,8 @@ def qconv(q: QParam | None, n: int, a, b, w: Callable = _one) -> Poly2:
     """sum_k [n k]_q w(k) a(k) b(n - k); a and b are sequences or functions
     of polynomials or scalars, and terms of zero weight are skipped."""
     a, b = _fn(a), _fn(b)
+    if w is _one:  # no weight product per summand
+        return Poly2.linear_combination((q_binomial(q, n, k), a(k), b(n - k)) for k in range(n + 1))
     return Poly2.linear_combination(
         (c, a(k), b(n - k)) for k in range(n + 1) if (c := q_binomial(q, n, k) * w(k))
     )
@@ -467,7 +469,8 @@ check_bernstein = _suite(
     ("bb1", (N, K_N, Q), lambda c: q_binomial(c.q, c.n, c.k) * q_bernstein(c.q, c.n, c.k),
      lambda c: _x(c.k) * qconv(
          c.q, c.n, _one,
-         c.seq("bb1-row", lambda i: c.table(BERN, c.k)[i].substitute("x", 1).compose("y", -X), "k"),
+         c.seq("bb1-row", lambda i: c.table(BERN, c.k)[i].substitute("x", 1)
+               .scale_var("y", -1).swap(), "k"),
          lambda i: q_stirling2(c.q, i, c.k))),
 )
 check_alpha_zero = _suite(

@@ -18,9 +18,9 @@ A scalar product cancels the scalar against the denominator and the
 numerators' content before it multiplies, so it needs no gcd over the
 result.  Substitution, rescaling and the Jackson derivative are one
 termwise map, ``_termwise``, whose weight depends only on a term's
-degree in one variable; evaluation is two substitutions.  A scalar is
-an ``int`` or a ``Fraction`` (``qcore._rational``); anything else is a
-``TypeError``.
+degree in one variable; evaluation is two substitutions, and ``swap``
+exchanges x and y by permuting the keys.  A scalar is an ``int`` or a
+``Fraction`` (``qcore._rational``); anything else is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -195,12 +195,10 @@ class Poly2:
         cn, cd = _rational(c).as_integer_ratio()
         return self._termwise(var, lambda d: (d, cn ** d, cd ** d))
 
-    def compose(self, var: str, replacement: "Poly2") -> "Poly2":
-        """Substitute a whole polynomial for one variable."""
-        i = _var_index(var)
-        return Poly2.linear_combination(
-            (c, replacement ** k[i], Poly2.monomial(*_at(k, i, 0))) for k, c in self._terms.items()
-        )
+    def swap(self) -> "Poly2":
+        """x and y exchanged: the keys are permuted and the numerators and
+        denominator kept, so the result is canonical with no arithmetic."""
+        return _raw({(dy, dx): n for (dx, dy), n in self._num.items()}, self._den)
 
     def jackson(self, var: str, q: QParam) -> "Poly2":
         """Jackson q-derivative in one variable, by the monomial rule.
@@ -218,7 +216,7 @@ class Poly2:
         steps = {d: step(d) for d in {k[i] for k in self._num}}
         den = lcm(*(wd for _, wn, wd in steps.values() if wn))
         steps = {d: (e, wn * (den // wd)) for d, (e, wn, wd) in steps.items() if wn}
-        # the key is built inline: an ``_at`` call per term made substitution ~4% slower
+        # the key is built inline: a helper call per term made substitution ~4% slower
         return _raw(*_collect((
             ((e, k[1]) if i == 0 else (k[0], e), n * w)
             for k, n in self._num.items() if k[i] in steps for e, w in (steps[k[i]],)
@@ -244,11 +242,6 @@ def _raw(num: dict[Key, int], den: int) -> Poly2:
     p = Poly2.__new__(Poly2)
     p._num, p._den = num, den
     return p
-
-
-def _at(k: Key, i: int, d: int) -> Key:
-    """The key ``k`` with its degree in variable ``i`` set to ``d``."""
-    return (d, k[1]) if i == 0 else (k[0], d)
 
 
 def _collect(contributions: Iterable[tuple[Key, int]], den: int) -> tuple[dict[Key, int], int]:

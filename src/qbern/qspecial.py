@@ -5,18 +5,21 @@ Stirling numbers of the second kind and the Phillips q-Bernstein basis.
 Each takes q = None for its classical (q -> 1) flavour.
 
 Tables are built once from their generating functions, and triangular
-recurrences for their number sequences are the test oracles; q-Stirling
-numbers are computed by their recurrence, and the series is their oracle.
-The two paths of each family share no series code.
+recurrences for their number sequences are the test oracles; the numbers
+themselves are read from the one-variable kernel series, since e(0) =
+E(0) = 1.  q-Stirling numbers are computed by their recurrence, one build
+of the triangle serving every row a table reads, and the series is their
+oracle.  The two paths of each family share no series code.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal
+from typing import Iterator, Literal
 
 from .poly import Poly2, X, Y, symbolic_pair_power
 from .qcore import QParam, q_binomial, q_factorial, q_number, scalar_memo
@@ -90,8 +93,14 @@ def q_euler_table(q: QParam, alpha: int, max_n: int) -> PolyTable:
 
 
 def q_number_sequence(spec: FamilySpec, max_n: int) -> list[Fraction]:
-    """The number sequence: table entries evaluated at (0, 0)."""
-    return list(family_table(spec, max_n).num)
+    """The number sequence, the table entries at x = y = 0: there e(tx) =
+    E(ty) = 1, so entry n is [n]! times the t^n coefficient of the kernel,
+    and no bivariate table is built."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    q = spec.q
+    kern = _kernel(spec.kind, q, spec.order_alpha, max_n)
+    return [c.constant_term() * q_factorial(q, n) for n, c in enumerate(kern.coeffs)]
 
 
 def q_bernoulli_numbers_recurrence(q: QParam, max_n: int) -> list[Fraction]:
@@ -140,22 +149,31 @@ def q_stirling2(q: QParam | None, m: int, k: int) -> Fraction:
 
 
 def _stirling2_row(q: QParam | None, m: int) -> tuple[Fraction, ...]:
-    """Row m of the triangle, S(m, 0..m), built up from row 0: at q = None by
-    S(i, k) = k S(i-1, k) + S(i-1, k-1), otherwise by S(i, k) = (1/[k]) sum_{j<i}
-    [i j] S(j, k-1), from (e(t) - 1)^k = (e(t) - 1)^{k-1} (e(t) - 1)."""
+    """Row m of the triangle, S(m, 0..m): the last row of one build."""
+    return tuple(map(Fraction, deque(q_stirling2_rows(q, m), maxlen=1)[0]))
+
+
+def q_stirling2_rows(q: QParam | None, max_n: int) -> Iterator[tuple[Fraction | int, ...]]:
+    """Rows 0..max_n of the triangle, S(i, 0..i), each built once from the rows
+    before it: at q = None in integers by S(i, k) = k S(i-1, k) + S(i-1, k-1),
+    otherwise by S(i, k) = (1/[k]) sum_{j<i} [i j] S(j, k-1), from
+    (e(t) - 1)^k = (e(t) - 1)^{k-1} (e(t) - 1)."""
     if q is None:
-        row = [1]
-        for i in range(1, m + 1):
-            row = [0] + [k * row[k] + row[k - 1] for k in range(1, i)] + [1]
-        return tuple(map(Fraction, row))
+        row = (1,)
+        yield row
+        for i in range(1, max_n + 1):
+            row = (0, *(k * row[k] + row[k - 1] for k in range(1, i)), 1)
+            yield row
+        return
     rows, binom = [(Fraction(1),)], (1,)  # rows[i][k] = S(i, k), binom[j] = [i j]
-    for i in range(1, m + 1):
+    yield rows[0]
+    for i in range(1, max_n + 1):
         # the q-Pascal rule, not the memo: a deep row would flood it with [i j]
         binom = (1, *(binom[j - 1] + q.power(j) * binom[j] for j in range(1, i)), 1)
         rows.append((Fraction(0),) + tuple(
             sum(binom[j] * rows[j][k - 1] for j in range(k - 1, i)) / q_number(q, k)
             for k in range(1, i + 1)))
-    return rows[m]
+        yield rows[i]
 
 
 # -- Bernstein basis ------------------------------------------------
@@ -165,8 +183,8 @@ def q_bernstein(q: QParam | None, n: int, k: int) -> Poly2:
     """Phillips q-Bernstein basis polynomial x^k (1 - x)^{n-k}_q, in x."""
     if not 0 <= k <= n:
         raise ValueError(f"q_bernstein requires 0 <= k <= n, got n={n}, k={k}")
-    # fix the first slot to 1 before rewriting the second slot as -x
-    pair = symbolic_pair_power(q, n - k).substitute("x", 1).compose("y", -X)
+    # fix the first slot to 1, then y -> -y and swap: (1 + (-x))^{n-k}_q
+    pair = symbolic_pair_power(q, n - k).substitute("x", 1).scale_var("y", -1).swap()
     return Poly2.monomial(k, 0, 1) * pair
 
 

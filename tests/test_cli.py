@@ -160,6 +160,17 @@ class TestTable:
             outputs.append(out)
         assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
 
+    def test_cold_qstirling_table_builds_each_row_once(self, capsys, monkeypatch):
+        # building row i divides each S(i, k), 1 <= k <= i, by [k] once, so these
+        # reads of [k] mean each of the 13 rows was built once (a q no other test uses)
+        reads = []
+        real = qbern.qspecial.q_number
+        monkeypatch.setattr(qbern.qspecial, "q_number", lambda q, k: reads.append(k) or real(q, k))
+        code, _, _ = run(capsys, "table", "--family", "qstirling", "--n-max", "12",
+                         "--q", "13/23", "--no-meta")
+        assert code == 0
+        assert sorted(reads) == sorted(k for i in range(1, 13) for k in range(1, i + 1))
+
     @pytest.mark.parametrize("family", ["qstirling", "qbernstein", "stirling2"])
     def test_alpha_is_usage_error_where_it_does_not_apply(self, capsys, family):
         code, out, err = run(capsys, "table", "--family", family, "--alpha", "1",

@@ -80,13 +80,13 @@ class TestSubstitution:
         assert (Y**2).scale_var("y", F(1, 2)) == F(1, 4) * Y**2
         assert (X * Y**2 + 3 * Y + X - 2).scale_var("y", 0) == X - 2
 
-    def test_compose(self):
-        # x -> (x + y) in x^2 gives the full square
-        assert (X**2).compose("x", X + Y) == X**2 + 2 * X * Y + Y**2
-
-    def test_compose_keeps_other_variable(self):
-        p = X**2 * Y + Y
-        assert p.compose("y", -X) == -(X**3) - X
+    def test_swap_keeps_the_denominator(self):
+        p = F(1, 6) * X**2 * Y - F(2, 3) * Y + F(1, 2)
+        s = p.swap()
+        assert s == F(1, 6) * X * Y**2 - F(2, 3) * X + F(1, 2)
+        # the keys are permuted; the numerators and the denominator are kept
+        assert s._den == p._den == 6
+        assert sorted(s._num.values()) == sorted(p._num.values())
 
 
 @pytest.mark.parametrize("expr", [
@@ -176,20 +176,15 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@st.composite
-def degree_grids(draw):
-    """A polynomial on a grid of x-degrees times y-degrees, so that its
-    terms share their degrees in each variable."""
-    degrees = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
-    dxs, dys = draw(degrees), draw(degrees)
-    return Poly2({(dx, dy): draw(small_fractions) for dx in dxs for dy in dys})
+@given(p=polys())
+def test_swap_is_an_involution(p):
+    assert p.swap().swap() == p
+    assert p.swap()._den == p._den
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=degree_grids(), b=degree_grids(), v=small_fractions, w=small_fractions)
-def test_compose_matches_evaluation(a, b, v, w):
-    assert a.compose("x", b).evaluate(v, w) == a.evaluate(b.evaluate(v, w), w)
-    assert a.compose("y", b).evaluate(v, w) == a.evaluate(v, b.evaluate(v, w))
+@given(p=polys(), v=small_fractions, w=small_fractions)
+def test_swap_matches_evaluation(p, v, w):
+    assert p.swap().evaluate(v, w) == p.evaluate(w, v)
 
 
 @given(p=polys(), var=st.sampled_from(["x", "y"]))

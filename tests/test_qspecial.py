@@ -138,6 +138,21 @@ def test_order_alpha_numbers_are_convolution_powers(value, alpha):
         assert q_number_sequence(FamilySpec(kind, alpha, q), n_max) == power, kind
 
 
+@settings(max_examples=40, deadline=None)
+@given(value=random_q | st.none(), kind=st.sampled_from(["q_bernoulli", "q_euler"]),
+       alpha=st.integers(0, 3), n=st.integers(0, 8))
+def test_numbers_are_the_table_at_the_origin(value, kind, alpha, n):
+    # the numbers come from the kernel series alone; the bivariate table's
+    # constant terms are their oracle
+    spec = FamilySpec(kind, alpha, None if value is None else QParam(value))
+    assert q_number_sequence(spec, n) == list(family_table(spec, n).num)
+
+
+def test_number_sequence_rejects_a_negative_length():
+    with pytest.raises(ValueError):
+        q_number_sequence(FamilySpec("q_euler", 1, Q2), -1)
+
+
 class TestAlphaStructure:
     def test_alpha_zero_is_pair_power(self):
         for q in QS:
