@@ -8,7 +8,9 @@ Three subcommands:
 
 Rational values always serialize as strings like ``"-2/3"`` (never as
 floats), and output is byte-identical across runs when ``--no-meta`` is
-given.
+given.  A command's payload carries its polynomials as ``Poly2`` values;
+each writer formats one where it writes it, from its integers
+(``Poly2.term_ratios``).
 
 Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
 3 domain errors (e.g. q = 1, or a value too large for its decimal
@@ -64,31 +66,18 @@ def poly_terms(p: Poly2) -> list[dict]:
     ]
 
 
-def poly_latex(terms: list[dict]) -> str:
-    """LaTeX for a polynomial given as its ``poly_terms`` rows."""
-    if not terms:
-        return "0"
-    bits = []
-    for t in terms:
-        mono = ""
-        for v, d in (("x", t["dx"]), ("y", t["dy"])):
-            if d == 1:
-                mono += v
-            elif d > 1:
-                mono += f"{v}^{{{d}}}"
-        num, _, den = t["coeff"].partition("/")
-        if den:
-            sign = "-" if num.startswith("-") else ""
-            coeff = f"{sign}\\frac{{{num.lstrip('-')}}}{{{den}}}"
-        else:
-            coeff = num
-        if mono and coeff in ("1", "-1"):
-            coeff = coeff[:-1]  # keep just the sign
-        bits.append(f"{coeff}{mono}" if mono else coeff)
-    out = bits[0]
-    for b in bits[1:]:
-        out += " + " + b if not b.startswith("-") else " - " + b[1:]
-    return out
+def poly_latex(p: Poly2) -> str:
+    """LaTeX for ``p``, built from the integers of its ``term_ratios``."""
+    out = ""
+    for (dx, dy), n, d in p.term_ratios():
+        mono = "".join(v if e == 1 else f"{v}^{{{e}}}" for v, e in (("x", dx), ("y", dy)) if e)
+        if d != 1:
+            coeff = f"\\frac{{{abs(n)}}}{{{d}}}"
+        else:  # a unit coefficient of a monomial keeps just its sign
+            coeff = "" if mono and abs(n) == 1 else str(abs(n))
+        out += (" - " if out else "-") if n < 0 else (" + " if out else "")
+        out += coeff + mono
+    return out or "0"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -138,11 +127,11 @@ def _table_payload(args) -> dict:
     if family in KINDS:
         alpha = payload["alpha"] = 1 if args.alpha is None else args.alpha
         table = family_table(FamilySpec(KINDS[family], alpha, q), n_max)
-        payload["entries"] = [{"n": n, "poly": poly_terms(p)} for n, p in enumerate(table.entries)]
+        payload["entries"] = [{"n": n, "poly": p} for n, p in enumerate(table.entries)]
         return payload
     # the (n, k) triangles: q-Bernstein polynomials or q-Stirling numbers
     if family == "qbernstein":
-        name, key, cell = "entries", "poly", lambda n, k: poly_terms(q_bernstein(q, n, k))
+        name, key, cell = "entries", "poly", lambda n, k: q_bernstein(q, n, k)
     else:
         # one build of the triangle serves every row, and the memo keeps none of it
         name, key, rows = "rows", "value", list(q_stirling2_rows(q, n_max))
@@ -153,11 +142,11 @@ def _table_payload(args) -> dict:
     return payload
 
 
-def _flat(payload: dict) -> tuple[str, list[tuple[str, str | list[dict]]]]:
+def _flat(payload: dict) -> tuple[str, list[tuple[str, str | Poly2]]]:
     """The index columns of a table and its (index, value) rows, in order.
 
     The index is ``n``, or ``n,k`` whenever the entries carry k; a value is
-    a number string or the terms of a polynomial.
+    a number string or a polynomial.
     """
     items = payload["rows"] if "rows" in payload else payload["entries"]
     cols = ("n", "k") if "k" in items[0] else ("n",)
@@ -171,10 +160,10 @@ def _table_csv(payload: dict) -> str:
     cols, rows = _flat(payload)
     lines = [f"{cols},value" if "rows" in payload else f"{cols},dx,dy,coeff"]
     for index, value in rows:
-        if isinstance(value, str):
-            lines.append(f"{index},{value}")
+        if isinstance(value, Poly2):
+            lines.extend(f"{index},{t['dx']},{t['dy']},{t['coeff']}" for t in poly_terms(value))
         else:
-            lines.extend(f"{index},{t['dx']},{t['dy']},{t['coeff']}" for t in value)
+            lines.append(f"{index},{value}")
     return "\n".join(lines) + "\n"
 
 
@@ -182,7 +171,7 @@ def _table_latex(payload: dict) -> str:
     lines = ["\\begin{tabular}{rl}", "n & value \\\\", "\\hline"]
     for index, value in _flat(payload)[1]:
         label = f"({index})" if "," in index else index
-        if not isinstance(value, str):
+        if isinstance(value, Poly2):
             value = f"${poly_latex(value)}$"
         lines.append(f"{label} & {value} \\\\")
     lines.append("\\end{tabular}")
@@ -197,7 +186,7 @@ def _report_obj(r: IdentityReport) -> dict:
         "id": r.identity_id,
         "params": {k: v for k, v in r.params},
         "pass": r.passed,
-        "residual": poly_terms(r.residual),
+        "residual": r.residual,
     }
     if r.correction_applied:
         obj["correction_applied"] = r.correction_applied
@@ -328,7 +317,8 @@ _string = json.encoder.encode_basestring_ascii
 def _json(doc: dict | list) -> list[str]:
     """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for
     a document of dicts with string keys, lists, strings, ints, floats,
-    bools and None.
+    bools and None.  A ``Poly2`` leaf is written as its ``poly_terms`` rows,
+    which exist only while that polynomial is written.
 
     With ``indent`` set, ``json.dumps`` leaves its C encoder for a
     pure-Python one.  Here each separator, key and scalar is one chunk, and
@@ -360,6 +350,8 @@ def _json(doc: dict | list) -> list[str]:
                 put(h + int.__repr__(x))
             elif isinstance(x, (dict, list, tuple)):
                 write(x, h, inner, write)
+            elif isinstance(x, Poly2):
+                write(poly_terms(x), h, inner, write)
             else:  # a float, bool or None; any other type is json's TypeError
                 put(h + json.dumps(x))
         put(nl + ("}" if is_dict else "]"))

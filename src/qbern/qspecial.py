@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Literal
 
-from .poly import Poly2, X, Y, symbolic_pair_power
-from .qcore import QParam, q_binomial, q_factorial, q_number, scalar_memo
+from .poly import Poly2, X, Y
+from .qcore import QParam, gauss_exponent, q_binomial, q_factorial, q_number, scalar_memo
 from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
@@ -183,9 +183,10 @@ def q_bernstein(q: QParam | None, n: int, k: int) -> Poly2:
     """Phillips q-Bernstein basis polynomial x^k (1 - x)^{n-k}_q, in x."""
     if not 0 <= k <= n:
         raise ValueError(f"q_bernstein requires 0 <= k <= n, got n={n}, k={k}")
-    # fix the first slot to 1, then y -> -y and swap: (1 + (-x))^{n-k}_q
-    pair = symbolic_pair_power(q, n - k).substitute("x", 1).scale_var("y", -1).swap()
-    return Poly2.monomial(k, 0, 1) * pair
+    # the q-binomial theorem: (1 - x)^j_q = sum_i (-1)^i [j i] q^{i(i-1)/2} x^i, with j = n - k
+    j = n - k
+    return Poly2({(k + i, 0): (-1) ** i * q_binomial(q, j, i) * gauss_exponent(q, i)
+                  for i in range(j + 1)})
 
 
 # -- classical-limit studies -----------------------------------------

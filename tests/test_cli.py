@@ -527,6 +527,37 @@ def test_negative_value_after_a_space(capsys, argv, option):
 
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
 coefficients = st.integers(-10**12, 10**12) | st.fractions(max_denominator=10**6)
+# unit and small coefficients, so signs, \frac and the unit-monomial rule all show
+latex_coefficients = st.sampled_from([1, -1, 2, -2, F(1, 2), F(-1, 2), F(-7, 3)]) | coefficients
+polys = st.dictionaries(exponents, coefficients, max_size=4).map(Poly2)
+
+
+def reference_poly_latex(terms: list[dict]) -> str:
+    """LaTeX for a polynomial given as its ``poly_terms`` rows, read back
+    from their strings: an independent reading of the same layout."""
+    if not terms:
+        return "0"
+    bits = []
+    for t in terms:
+        mono = ""
+        for v, d in (("x", t["dx"]), ("y", t["dy"])):
+            if d == 1:
+                mono += v
+            elif d > 1:
+                mono += f"{v}^{{{d}}}"
+        num, _, den = t["coeff"].partition("/")
+        if den:
+            sign = "-" if num.startswith("-") else ""
+            coeff = f"{sign}\\frac{{{num.lstrip('-')}}}{{{den}}}"
+        else:
+            coeff = num
+        if mono and coeff in ("1", "-1"):
+            coeff = coeff[:-1]  # keep just the sign
+        bits.append(f"{coeff}{mono}" if mono else coeff)
+    out = bits[0]
+    for b in bits[1:]:
+        out += " + " + b if not b.startswith("-") else " - " + b[1:]
+    return out
 
 
 class TestSerialization:
@@ -537,10 +568,21 @@ class TestSerialization:
 
     def test_poly_latex(self):
         p = X**2 - F(1, 2) * Y + Poly2.one()
-        assert poly_latex(poly_terms(p)) == "1 - \\frac{1}{2}y + x^{2}"
+        assert poly_latex(p) == "1 - \\frac{1}{2}y + x^{2}"
 
     def test_poly_latex_zero(self):
-        assert poly_latex(poly_terms(Poly2.zero())) == "0"
+        assert poly_latex(Poly2.zero()) == "0"
+
+    @settings(max_examples=150, deadline=None)
+    @given(terms=st.dictionaries(exponents, latex_coefficients, max_size=5))
+    @example(terms={})
+    @example(terms={(0, 0): -1})
+    @example(terms={(0, 0): 1, (1, 0): -1, (0, 1): 1})
+    @example(terms={(0, 0): F(-1, 2), (2, 3): -1, (1, 1): F(7, 3)})
+    @example(terms={(1, 0): -1, (0, 0): -5})
+    def test_poly_latex_matches_the_string_reading(self, terms):
+        p = Poly2(terms)
+        assert poly_latex(p) == reference_poly_latex(poly_terms(p))
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.dictionaries(exponents, coefficients, max_size=6),
@@ -579,7 +621,18 @@ class TestSerialization:
 json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aé€\u2028\U0001f600') | st.characters(),
                     max_size=8)
 json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
-                | st.floats() | json_text)
+                | st.floats() | json_text | polys)
+
+
+def with_rows(doc):
+    """``doc`` with each ``Poly2`` leaf replaced by its ``poly_terms`` rows."""
+    if isinstance(doc, Poly2):
+        return poly_terms(doc)
+    if isinstance(doc, dict):
+        return {k: with_rows(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [with_rows(v) for v in doc]
+    return doc
 
 
 def json_containers(children):
@@ -597,8 +650,9 @@ class TestJsonWriter:
               phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     @given(doc=json_documents)
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, False, None, {}, []])
+    @example({"p": Poly2.zero(), "q": [X - F(1, 2) * Y, (Poly2.const(-3),)]})
     def test_matches_json_dumps_indent_2(self, doc):
-        assert "".join(_json(doc)) == json.dumps(doc, indent=2) + "\n"
+        assert "".join(_json(doc)) == json.dumps(with_rows(doc), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "lemma3", "--n-max", "2", "--alpha-set", "1", "--m-set", "1",
