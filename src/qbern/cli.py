@@ -10,7 +10,11 @@ Rational values always serialize as strings like ``"-2/3"`` (never as
 floats), and output is byte-identical across runs when ``--no-meta`` is
 given.  A command's payload carries its polynomials as ``Poly2`` values;
 each writer formats one where it writes it, from its integers
-(``Poly2.term_ratios``).
+(``Poly2.term_ratios``).  Output is streamed: the writer puts each chunk
+into --out, or stdout, as it formats it, so no output-sized string is
+ever held.  If formatting or writing fails, an --out that is a regular
+file is removed (a symlink or device is left alone), and what was already
+written to stdout stays there; the exit code is that of the error.
 
 Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
 3 domain errors (e.g. q = 1, or a value too large for its decimal
@@ -21,9 +25,12 @@ stderr).  No input ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
+import os
 import re
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -156,26 +163,25 @@ def _flat(payload: dict) -> tuple[str, list[tuple[str, str | Poly2]]]:
     ]
 
 
-def _table_csv(payload: dict) -> str:
+def _table_csv(payload: dict, put) -> None:
     cols, rows = _flat(payload)
-    lines = [f"{cols},value" if "rows" in payload else f"{cols},dx,dy,coeff"]
+    put(f"{cols},value\n" if "rows" in payload else f"{cols},dx,dy,coeff\n")
     for index, value in rows:
         if isinstance(value, Poly2):
-            lines.extend(f"{index},{t['dx']},{t['dy']},{t['coeff']}" for t in poly_terms(value))
+            for t in poly_terms(value):
+                put(f"{index},{t['dx']},{t['dy']},{t['coeff']}\n")
         else:
-            lines.append(f"{index},{value}")
-    return "\n".join(lines) + "\n"
+            put(f"{index},{value}\n")
 
 
-def _table_latex(payload: dict) -> str:
-    lines = ["\\begin{tabular}{rl}", "n & value \\\\", "\\hline"]
+def _table_latex(payload: dict, put) -> None:
+    put("\\begin{tabular}{rl}\nn & value \\\\\n\\hline\n")
     for index, value in _flat(payload)[1]:
         label = f"({index})" if "," in index else index
         if isinstance(value, Poly2):
             value = f"${poly_latex(value)}$"
-        lines.append(f"{label} & {value} \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
+        put(f"{label} & {value} \\\\\n")
+    put("\\end{tabular}\n")
 
 
 # -- verify command --------------------------------------------------
@@ -270,9 +276,6 @@ def _limit_payload(args) -> dict:
 
 # -- driver ----------------------------------------------------------
 
-WRITERS = {"csv": _table_csv, "latex": _table_latex}  # json is what _emit writes by default
-
-
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None)
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="order of the Bernoulli and Euler families (default 1)")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q", default=None, help="rational q, e.g. 1/2")
-    p.add_argument("--format", default="json", choices=("json", *WRITERS))
+    p.add_argument("--format", default="json", choices=tuple(WRITERS))
 
     p = sub.add_parser("verify", parents=[output], help="run an identity suite over a grid")
     p.add_argument("--suite", required=True, choices=(*SUITE_ORDER, "all"))
@@ -314,24 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
 _string = json.encoder.encode_basestring_ascii
 
 
-def _json(doc: dict | list) -> list[str]:
-    """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for
-    a document of dicts with string keys, lists, strings, ints, floats,
-    bools and None.  A ``Poly2`` leaf is written as its ``poly_terms`` rows,
-    which exist only while that polynomial is written.
+def _json(doc: dict | list, put) -> None:
+    """Put ``json.dumps(doc, indent=2) + "\\n"`` into ``put``, byte for byte,
+    for a document of dicts with string keys, lists, strings, ints, floats,
+    bools and None, chunk by chunk as it is formatted.  A ``Poly2`` leaf
+    is written as its ``poly_terms`` rows.
 
     With ``indent`` set, ``json.dumps`` leaves its C encoder for a
-    pure-Python one.  Here each separator, key and scalar is one chunk, and
-    the caller writes the chunks as they are: joining them first would add
-    two buffers the size of the whole output, the joined text and its
-    encoded bytes.
+    pure-Python one.  Here each separator, key and scalar is one chunk,
+    and each term of a ``Poly2`` is one chunk: a fixed template filled
+    from the integers of ``term_ratios()``, which need no escaping.
     """
-    chunks: list[str] = []
-    put = chunks.append
 
     # ``write`` is handed itself rather than naming itself from the enclosing
     # scope: a closure that names itself is a reference cycle, which keeps
-    # ``chunks`` alive after the write, until the garbage collector runs
+    # ``put`` alive after the write, until the garbage collector runs
     def write(v: dict | list, head: str, nl: str, write) -> None:
         """``head`` and then the container ``v``, whose closing line starts with ``nl``."""
         is_dict = isinstance(v, dict)
@@ -351,19 +351,44 @@ def _json(doc: dict | list) -> list[str]:
             elif isinstance(x, (dict, list, tuple)):
                 write(x, h, inner, write)
             elif isinstance(x, Poly2):
-                write(poly_terms(x), h, inner, write)
+                terms = x.term_ratios()
+                if not terms:
+                    put(h + "[]")
+                    continue
+                # a term row is an indent-2 {"dx", "dy", "coeff"} object one level in
+                item = inner + "  "
+                key = item + "  "
+                row = h + "[" + item
+                for (dx, dy), n, d in terms:
+                    put(f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}/{d}"{item}}}'
+                        if d != 1 else
+                        f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}"{item}}}')
+                    row = "," + item
+                put(inner + "]")
             else:  # a float, bool or None; any other type is json's TypeError
                 put(h + json.dumps(x))
         put(nl + ("}" if is_dict else "]"))
 
     write(doc, "", "\n", write)
     put("\n")
-    return chunks
 
 
-def _emit(argv: list[str], args, payload: dict, text: str | None = None) -> None:
-    """Write ``text``, or the payload as JSON under a meta block unless --no-meta."""
-    if text is None:
+# The writer of each --format: ``writer(doc, put)`` puts the output into ``put``
+WRITERS = {"json": _json, "csv": _table_csv, "latex": _table_latex}
+
+
+def _emit(argv: list[str], args, payload: dict) -> None:
+    """Stream the output into --out, or stdout, as it is formatted: a table
+    in its --format, or else the payload as JSON under a meta block unless
+    --no-meta.
+
+    If formatting or writing raises, an --out that is a regular file is
+    removed (a symlink or device is left alone) and the error goes on;
+    what was already written to stdout stays there.
+    """
+    fmt = getattr(args, "format", "json")
+    doc = payload
+    if fmt == "json":
         doc = {"payload": payload} if args.no_meta else {
             "meta": {
                 "tool": "qbern",
@@ -374,17 +399,23 @@ def _emit(argv: list[str], args, payload: dict, text: str | None = None) -> None
             },
             "payload": payload,
         }
-        chunks = _json(doc)
-    else:
-        chunks = [text]
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.writelines(chunks)
-        except OSError as exc:
+    if not args.out:
+        WRITERS[fmt](doc, sys.stdout.write)
+        return
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
+    try:
+        with fh:
+            WRITERS[fmt](doc, fh.write)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(args.out).st_mode):
+                os.remove(args.out)
+        if isinstance(exc, OSError):
             raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.writelines(chunks)
+        raise
 
 
 COMMANDS = {"table": _table_payload, "verify": _verify_payload, "limit": _limit_payload}
@@ -420,8 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload = COMMANDS[args.command](args)
-        write = WRITERS.get(getattr(args, "format", "json"))
-        _emit(argv, args, payload, write(payload) if write else None)
+        _emit(argv, args, payload)
     except Exception as exc:
         code, line = next((c, f) for types, c, f in EXIT_CODES if isinstance(exc, types))
         print(line.format(exc=exc, type=type(exc).__name__), file=sys.stderr)

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -618,6 +620,80 @@ class TestSerialization:
         assert target.exists()
 
 
+def run_over_the_digit_limit(capsys, fmt, out):
+    """``run`` of a table whose n = 14 row has a 741-digit denominator,
+    under an int-to-str digit limit of 640, so its formatting raises."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        return run(capsys, "table", "--family", "qbernoulli", "--n-max", "14",
+                   "--q", "1234567/7654321", "--format", fmt, "--no-meta", "--out", str(out))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestStreaming:
+    def test_deep_table_is_written_without_holding_its_output(self, tmp_path):
+        target = tmp_path / "deep.json"
+        args = qbern.cli.build_parser().parse_args(
+            ["table", "--family", "qbernoulli", "--n-max", "30", "--q", "7/11", "--no-meta",
+             "--out", str(target)])
+        payload = qbern.cli._table_payload(args)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            qbern.cli._emit([], args, payload)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        written = target.stat().st_size
+        assert written > 2_800_000
+        assert peak < written / 4, (peak, written)
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "qbernoulli", "--alpha", "2", "--n-max", "6", "--q=-7/3",
+         "--no-meta"),
+        ("table", "--family", "qbernstein", "--n-max", "4", "--q=-7/3", "--no-meta",
+         "--format", "csv"),
+        ("table", "--family", "qeuler", "--n-max", "6", "--q", "1/2", "--no-meta",
+         "--format", "latex"),
+        ("verify", "--suite", "lemma3", "--n-max", "2", "--alpha-set", "1", "--m-set", "1",
+         "--q-set", "1/2,-7/3", "--no-meta"),
+    ])
+    def test_stdout_gets_the_bytes_out_gets(self, capsysbinary, tmp_path, argv):
+        target = tmp_path / "out"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert main(list(argv)) == 0
+        out, err = capsysbinary.readouterr()
+        assert err == b""
+        assert out == target.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.11")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_write_removes_a_regular_out_file(self, capsys, tmp_path, fmt):
+        target = tmp_path / "t.out"
+        target.write_text("an earlier output\n")
+        code, out, err = run_over_the_digit_limit(capsys, fmt, target)
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: ")
+        assert not target.exists()
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.11")
+    def test_failed_write_leaves_an_out_symlink(self, capsys, tmp_path):
+        dest = tmp_path / "dest.json"
+        dest.write_text("")
+        link = tmp_path / "link.json"
+        link.symlink_to(dest)
+        code, _, err = run_over_the_digit_limit(capsys, "json", link)
+        assert code == 3
+        assert err.startswith("domain error: ")
+        assert link.is_symlink() and os.readlink(link) == str(dest)
+        assert dest.exists()
+
+
 json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aé€\u2028\U0001f600') | st.characters(),
                     max_size=8)
 json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
@@ -652,7 +728,9 @@ class TestJsonWriter:
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, False, None, {}, []])
     @example({"p": Poly2.zero(), "q": [X - F(1, 2) * Y, (Poly2.const(-3),)]})
     def test_matches_json_dumps_indent_2(self, doc):
-        assert "".join(_json(doc)) == json.dumps(with_rows(doc), indent=2) + "\n"
+        out = io.StringIO()
+        _json(doc, out.write)
+        assert out.getvalue() == json.dumps(with_rows(doc), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "lemma3", "--n-max", "2", "--alpha-set", "1", "--m-set", "1",
