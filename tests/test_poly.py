@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbern import poly
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern.qcore import QParam, gauss_exponent, q_number, q_pair_power
+from qbern.qspecial import FamilySpec, family_table
 
 Q2 = QParam(F(1, 2))
 
@@ -330,3 +332,75 @@ def test_constants_hash_like_their_scalar():
         p = Poly2.const(c)
         assert p == c and hash(p) == hash(c)
         assert len({p, c}) == 1
+
+
+# -- term_ratios: reduction by the denominator's largest prime power --------
+
+def fraction_ratios(p):
+    """The reference for ``term_ratios``: each term's reduced ``Fraction``."""
+    return [(k, c.numerator, c.denominator) for k, c in p.terms()]
+
+
+@st.composite
+def prime_power_polys(draw):
+    """Terms over b^E * c, b a q-denominator (1009 is prime above the split's
+    bound, 12 and 66 hold several primes), whose numerators carry b to a
+    valuation that rises, falls or jumps along each row, at times above E,
+    with either sign; from one term to 48 and from a few bits to about 1,300."""
+    b = draw(st.sampled_from([2, 3, 11, 12, 66, 997, 1009]))
+    e = draw(st.integers(0, 1200 // b.bit_length()))
+    den = b ** e * draw(st.integers(1, 10**40))
+    terms = {}
+    for i in range(draw(st.integers(1, 4))):
+        v, step = draw(st.integers(0, e + 3)), draw(st.sampled_from([-2, -1, 0, 1, 2]))
+        for j in range(draw(st.integers(1, 12))):
+            if draw(st.integers(0, 5)) == 0:
+                v = draw(st.integers(0, e + 3))  # a jump
+            u = draw(st.integers(-10**30, 10**30).filter(bool))
+            terms[(i, j)] = F(u * b ** max(v, 0), den)
+            v += step
+    return Poly2(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=prime_power_polys())
+def test_term_ratios_match_fractions_over_prime_powers(p):
+    assert p.term_ratios() == fraction_ratios(p)
+
+
+@pytest.mark.parametrize("n_terms", [7, 8])
+@pytest.mark.parametrize("den", [3 * 11 ** 147, 11 ** 148], ids=["511 bits", "512 bits"])
+def test_term_ratios_on_both_sides_of_the_size_gate(n_terms, den):
+    p = Poly2({(0, j): F((-1) ** j * 11 ** (j * 20) * (j + 2), den) for j in range(n_terms)})
+    assert p._den == den
+    # 11^148 is split off only from 8 terms over 512 bits
+    assert poly._split(den, n_terms)[1] == (148 if n_terms == 8 and den == 11 ** 148 else 0)
+    assert p.term_ratios() == fraction_ratios(p)
+
+
+@pytest.mark.parametrize("q", [F(7, 11), F(-7, 3), F(5, 66), None])
+def test_term_ratios_match_fractions_on_n16_tables(q):
+    qp = QParam(q) if q is not None else None
+    for kind in ("q_bernoulli", "q_euler"):
+        for alpha in (1, 2):
+            for p in family_table(FamilySpec(kind, alpha, qp), 16).entries:
+                assert p.term_ratios() == fraction_ratios(p)
+
+
+def test_term_ratios_split_off_the_prime_power_of_a_deep_entry(monkeypatch):
+    # entry 40 of qeuler a1 at q = 7/11 has denominator 11^780 (2,699 bits):
+    # a gcd with all of it per term is 861 gcds of two operands over 1,000 bits
+    p = family_table(FamilySpec("q_euler", 1, QParam(F(7, 11))), 40)[40]
+    assert p._den == 11 ** 780
+    wide = []
+
+    def counting(*args):
+        if min(abs(a).bit_length() for a in args) > 1000:
+            wide.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(poly, "gcd", counting)
+    got = p.term_ratios()
+    assert len(wide) == 0
+    monkeypatch.undo()
+    assert got == fraction_ratios(p)
