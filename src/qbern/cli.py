@@ -19,7 +19,8 @@ written to stdout stays there; the exit code is that of the error.
 Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
 3 domain errors (e.g. q = 1, or a value too large for its decimal
 field), 4 any other error (``internal error: <type>: <message>`` on
-stderr).  No input ends in a traceback.
+stderr), 130 an interrupt, 141 a reader that closed stdout (``| head``;
+no stderr line).  No input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -64,19 +65,19 @@ class CliError(Exception):
     """Argument-level error: maps to exit code 2."""
 
 
-def poly_terms(p: Poly2) -> list[dict]:
+def poly_terms(p: Poly2, base: int = 1) -> list[dict]:
     """The terms of ``p`` as rows; a coefficient is ``"n"`` or ``"n/d"`` in
     lowest terms, formatted from its integers with no ``Fraction`` built."""
     return [
         {"dx": dx, "dy": dy, "coeff": f"{n}/{d}" if d != 1 else str(n)}
-        for (dx, dy), n, d in p.term_ratios()
+        for (dx, dy), n, d in p.term_ratios(base)
     ]
 
 
-def poly_latex(p: Poly2) -> str:
-    """LaTeX for ``p``, built from the integers of its ``term_ratios``."""
+def poly_latex(p: Poly2, base: int = 1) -> str:
+    """LaTeX for ``p``, built from the integers of its ``term_ratios(base)``."""
     out = ""
-    for (dx, dy), n, d in p.term_ratios():
+    for (dx, dy), n, d in p.term_ratios(base):
         mono = "".join(v if e == 1 else f"{v}^{{{e}}}" for v, e in (("x", dx), ("y", dy)) if e)
         if d != 1:
             coeff = f"\\frac{{{abs(n)}}}{{{d}}}"
@@ -163,23 +164,23 @@ def _flat(payload: dict) -> tuple[str, list[tuple[str, str | Poly2]]]:
     ]
 
 
-def _table_csv(payload: dict, put) -> None:
+def _table_csv(payload: dict, put, base: int) -> None:
     cols, rows = _flat(payload)
     put(f"{cols},value\n" if "rows" in payload else f"{cols},dx,dy,coeff\n")
     for index, value in rows:
         if isinstance(value, Poly2):
-            for t in poly_terms(value):
+            for t in poly_terms(value, base):
                 put(f"{index},{t['dx']},{t['dy']},{t['coeff']}\n")
         else:
             put(f"{index},{value}\n")
 
 
-def _table_latex(payload: dict, put) -> None:
+def _table_latex(payload: dict, put, base: int) -> None:
     put("\\begin{tabular}{rl}\nn & value \\\\\n\\hline\n")
     for index, value in _flat(payload)[1]:
         label = f"({index})" if "," in index else index
         if isinstance(value, Poly2):
-            value = f"${poly_latex(value)}$"
+            value = f"${poly_latex(value, base)}$"
         put(f"{label} & {value} \\\\\n")
     put("\\end{tabular}\n")
 
@@ -317,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 _string = json.encoder.encode_basestring_ascii
 
 
-def _json(doc: dict | list, put) -> None:
+def _json(doc: dict | list, put, base: int = 1) -> None:
     """Put ``json.dumps(doc, indent=2) + "\\n"`` into ``put``, byte for byte,
     for a document of dicts with string keys, lists, strings, ints, floats,
     bools and None, chunk by chunk as it is formatted.  A ``Poly2`` leaf
-    is written as its ``poly_terms`` rows.
+    is written as its ``poly_terms(p, base)`` rows.
 
     With ``indent`` set, ``json.dumps`` leaves its C encoder for a
     pure-Python one.  Here each separator, key and scalar is one chunk,
@@ -351,7 +352,7 @@ def _json(doc: dict | list, put) -> None:
             elif isinstance(x, (dict, list, tuple)):
                 write(x, h, inner, write)
             elif isinstance(x, Poly2):
-                terms = x.term_ratios()
+                terms = x.term_ratios(base)
                 if not terms:
                     put(h + "[]")
                     continue
@@ -373,7 +374,7 @@ def _json(doc: dict | list, put) -> None:
     put("\n")
 
 
-# The writer of each --format: ``writer(doc, put)`` puts the output into ``put``
+# The writer of each --format: ``writer(doc, put, base)`` puts the output into ``put``
 WRITERS = {"json": _json, "csv": _table_csv, "latex": _table_latex}
 
 
@@ -387,6 +388,7 @@ def _emit(argv: list[str], args, payload: dict) -> None:
     what was already written to stdout stays there.
     """
     fmt = getattr(args, "format", "json")
+    base = Fraction(payload["q"]).denominator if "q" in payload else 1  # for term_ratios
     doc = payload
     if fmt == "json":
         doc = {"payload": payload} if args.no_meta else {
@@ -400,7 +402,14 @@ def _emit(argv: list[str], args, payload: dict) -> None:
             "payload": payload,
         }
     if not args.out:
-        WRITERS[fmt](doc, sys.stdout.write)
+        try:
+            WRITERS[fmt](doc, sys.stdout.write, base)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # as the signal module's "Note on SIGPIPE" says: stdout's descriptor
+            # goes to devnull, so that the interpreter's exit flush cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         return
     try:
         fh = open(args.out, "w")
@@ -408,7 +417,7 @@ def _emit(argv: list[str], args, payload: dict) -> None:
         raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
     try:
         with fh:
-            WRITERS[fmt](doc, fh.write)
+            WRITERS[fmt](doc, fh.write, base)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.lstat(args.out).st_mode):
@@ -420,11 +429,13 @@ def _emit(argv: list[str], args, payload: dict) -> None:
 
 COMMANDS = {"table": _table_payload, "verify": _verify_payload, "limit": _limit_payload}
 
-# The exit code and stderr line of an exception leaving a command; the
-# first row that matches wins.
+# The exit code and stderr line of an exception leaving a command; the first row that
+# matches wins.  A BrokenPipeError is stdout's (--out's is a CliError): 128 + SIGPIPE.
 EXIT_CODES = (
     (CliError, 2, "error: {exc}"),
     ((ValueError, KeyError, IndexError, ArithmeticError), 3, "domain error: {exc}"),
+    (BrokenPipeError, 141, ""),
+    (KeyboardInterrupt, 130, "interrupted"),
     (Exception, 4, "internal error: {type}: {exc}"),
 )
 
@@ -443,18 +454,17 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_glue_negative_values(argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(_glue_negative_values(argv))
         payload = COMMANDS[args.command](args)
         _emit(argv, args, payload)
-    except Exception as exc:
+    except SystemExit as exc:  # from argparse: --help, or an argument error
+        return 2 if exc.code not in (0, None) else 0
+    except (Exception, KeyboardInterrupt) as exc:
         code, line = next((c, f) for types, c, f in EXIT_CODES if isinstance(exc, types))
-        print(line.format(exc=exc, type=type(exc).__name__), file=sys.stderr)
+        if line:
+            print(line.format(exc=exc, type=type(exc).__name__), file=sys.stderr)
         return code
     # exit code 1 means a gated identity failed
     return 1 if payload.get("failures") else 0

@@ -7,12 +7,10 @@ numerator, and zero is no terms over 1.  Equality compares the stored
 integers.  The canonical term order (lexicographic in (deg_x, deg_y))
 is fixed so serialized output is deterministic; ``terms()`` and
 ``_terms`` build one reduced ``Fraction`` per term when they are read,
-and nothing keeps them, while ``term_ratios()`` gives each term's
-reduced numerator and denominator as ints, with no ``Fraction``.  It
-splits a wide denominator once into its largest small-prime power p^e and
-a cofactor c, and reduces a term by its valuation at p and one gcd with c,
-not by a gcd with the whole denominator: a deep q-table's denominator is
-mostly a power of q's denominator.
+and nothing keeps them, while ``term_ratios(base)`` gives each term's
+reduced numerator and denominator as ints, with no ``Fraction``, by its
+valuation at one prime of ``base`` and one gcd with the rest of the
+denominator: a deep q-table's denominator is mostly a power of q's.
 
 Sums, differences, products and linear combinations are one integer
 accumulation, ``_combine``: its (scalar, polynomial, polynomial) triples
@@ -31,8 +29,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .qcore import QParam, _rational, q_binomial, q_number, gauss_exponent
@@ -107,19 +104,19 @@ class Poly2:
         """Terms in canonical (deg_x, deg_y) lexicographic order."""
         return sorted(self._terms.items())
 
-    def term_ratios(self) -> list[tuple[Key, int, int]]:
+    def term_ratios(self, base: int = 1) -> list[tuple[Key, int, int]]:
         """``terms()`` as (key, numerator, denominator) ints in lowest terms,
         the denominator positive, with no ``Fraction``.
 
-        The denominator is split once as p^e * c with gcd(p, c) = 1
-        (``_split``), so a term's gcd with it is p^v * gcd(n / p^v, c) with
-        v = min(v_p(n), e): a valuation at one prime and a gcd with the
-        cofactor c.  The search for v starts from the last term's v plus its
-        last change, which along a row is steady, and gallops from there;
-        the guess affects only the time.  With nothing split (p^e = 1) the
+        The denominator is split once as p^e * c with p a prime of ``base``
+        (q's denominator for a q-table) and gcd(p, c) = 1 (``_split``), so a
+        term's gcd with it is p^v * gcd(n / p^v, c) with v = min(v_p(n), e).
+        The search for v starts from the last term's v plus its last change,
+        which along a row is steady, and gallops from there.  The base and
+        the guess affect only the time; with nothing split (p^e = 1) the
         loop does one gcd with the whole denominator per term."""
         items = sorted(self._num.items())
-        pw, e, c = _split(self._den, len(items))
+        pw, e, c = _split(self._den, len(items), base)
         p = pw.p
         out = []
         v = dv = 0
@@ -291,41 +288,34 @@ def _strip(x: int, pw: _Powers, cap: int) -> tuple[int, int]:
     return w, x
 
 
-@cache
-def _small_primes() -> tuple[tuple[int, ...], int]:
-    """The primes below 1000 and their product, sieved on first use (about
-    0.1 ms), so that importing the module does no work for them."""
-    sieve = bytearray([0, 0]) + bytearray([1]) * 998
-    for i in range(2, 32):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, 1000, i)))
-    primes = tuple(i for i, s in enumerate(sieve) if s)
-    return primes, prod(primes)
+def _primes(b: int) -> Iterator[int]:
+    """The primes of b >= 0 by trial division by d < 1024: a leftover below 1024^2
+    is prime, and a larger one may be composite, so ``_split`` cannot use it."""
+    for d in range(2, min(isqrt(b), 1023) + 1):
+        if not b % d:
+            yield d
+            while not b % d:
+                b //= d
+    if 1 < b < 1024 ** 2:
+        yield b
 
 
-def _split(den: int, n_terms: int) -> tuple[_Powers, int, int]:
+def _split(den: int, n_terms: int, base: int) -> tuple[_Powers, int, int]:
     """(powers of p, e, c) with den = p^e * c, p not dividing c, and p^e the
-    largest power of a prime below 1000 in den (the largest power leaves the
+    largest power in den of a prime of ``base`` (the largest power leaves the
     smallest cofactor); p = 1, e = 0 and c = den when nothing is split."""
     best = (_Powers(1), 0, den)
     bits = den.bit_length()
-    # finding p takes 0.1-0.3 ms: under 512 bits the split made q-Bernoulli
-    # entries 1.2-6x slower (n <= 14 at q = 7/11, n <= 22 at q = -7/3), and
-    # 2-6 terms of a 1,500-3,100-bit entry 40 1.3-4x slower in each family
+    # under 512 bits the split made q-Bernoulli entries 1.2-6x slower (n <= 14
+    # at q = 7/11, n <= 22 at q = -7/3), and 2-6 terms of a 1,500-3,100-bit
+    # entry 40 1.3-4x slower in each family
     if n_terms < 8 or bits < 512:
         return best
-    primes, primorial = _small_primes()
-    # one division by the primorial leaves a 1,380-bit residue for the 168
-    # tests: trial division of a 9,000-bit den itself took 0.43 ms, not 0.09
-    r = den % primorial
-    for p in primes:
-        if not r % p:
-            pw = _Powers(p)
-            e, c = _strip(den, pw, bits)
-            # a split under 1/8 of den's bits saved no time (0.98-1.02x at 5%
-            # and 10%, 0.90x at 20%, on 7/1009 entries times powers of 11)
-            if c < best[2] and 8 * c.bit_length() <= 7 * bits:
-                best = (pw, e, c)
+    for p in _primes(abs(base)):
+        pw = _Powers(p)
+        e, c = _strip(den, pw, bits)
+        if c < best[2]:
+            best = (pw, e, c)
     return best
 
 

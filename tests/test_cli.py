@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -632,6 +633,29 @@ def run_over_the_digit_limit(capsys, fmt, out):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+@pytest.mark.parametrize("argv, bases", [
+    (("table", "--family", "qeuler", "--n-max", "3", "--q=-7/3"), {3}),
+    (("table", "--family", "qbernstein", "--n-max", "3", "--q", "5/66"), {66}),
+    (("table", "--family", "classical-euler", "--n-max", "3"), {1}),
+])
+def test_writers_reduce_terms_at_q_denominator(capsys, monkeypatch, fmt, argv, bases):
+    seen = set()
+    ratios = Poly2.term_ratios
+    monkeypatch.setattr(Poly2, "term_ratios", lambda p, base=1: seen.add(base) or ratios(p, base))
+    assert run(capsys, *argv, "--format", fmt)[0] == 0
+    assert seen == bases
+
+
+def test_verify_residuals_are_reduced_with_base_1(capsys, monkeypatch):
+    seen = set()
+    ratios = Poly2.term_ratios
+    monkeypatch.setattr(Poly2, "term_ratios", lambda p, base=1: seen.add(base) or ratios(p, base))
+    assert run(capsys, "verify", "--suite", "lemma3", "--n-max", "2", "--alpha-set", "1",
+               "--m-set", "1", "--q-set", "1/2", "--no-meta")[0] == 0
+    assert seen == {1}
+
+
 class TestStreaming:
     def test_deep_table_is_written_without_holding_its_output(self, tmp_path):
         target = tmp_path / "deep.json"
@@ -760,3 +784,87 @@ def test_module_runs_as_script():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["payload"]["rows"][-1] == {"n": 2, "k": 2, "value": "1"}
+
+
+def cli_process(*argv, **popen):
+    """``python -m qbern.cli`` on ``argv`` with block-buffered output, as
+    from a shell, with stdout and stderr piped to the caller."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(qbern.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "qbern.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+
+
+class TestClosedPipesAndInterrupts:
+    @pytest.mark.parametrize("n_max, lines, codes", [
+        # megabytes, far past any pipe buffer: the writer meets the closed pipe
+        ("40", 1, {141}),
+        # 2.5 kB: it may all be written before the reader closes, or not
+        ("3", 1, {0, 141}),
+        # closed before anything is read, so even a short output meets it
+        ("3", 0, {141}),
+    ])
+    def test_a_reader_that_closes_stdout_early_is_no_error(self, n_max, lines, codes):
+        proc = cli_process("table", "--family", "qbernoulli", "--n-max", n_max, "--q", "7/11")
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) in codes
+        assert b"Traceback" not in err and b"internal error" not in err
+        assert err == b""
+
+    def test_stdout_write_that_raises_broken_pipe_exits_141(self, capsys, monkeypatch):
+        # a real descriptor, which pytest's captured stdout lacks: a pipe with
+        # no reader, line-buffered so that the first write of a line raises
+        r, w = os.pipe()
+        os.close(r)
+        with os.fdopen(w, "w", buffering=1) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["table", "--family", "stirling2", "--n-max", "2", "--no-meta"])
+            monkeypatch.undo()
+            assert (code, capsys.readouterr().err) == (141, "")
+            # the descriptor now points at devnull, so the final flush succeeds
+            assert os.write(w, b"x") == 1
+
+    def test_broken_out_fifo_is_still_cannot_write(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # the reader opens the FIFO and closes it unread; the 1 MB output
+        # fills the pipe, so a write meets the closed end whatever the timing
+        reader = threading.Thread(target=lambda: open(fifo, "rb").close(), daemon=True)
+        reader.start()
+        code, out, err = run(capsys, "table", "--family", "qbernoulli", "--n-max", "24",
+                             "--q", "7/11", "--no-meta", "--out", str(fifo))
+        reader.join(timeout=60)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {fifo}: Broken pipe\n"
+        assert fifo.exists()
+
+    def test_interrupt_exits_130_without_a_traceback(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(qbern.cli.COMMANDS, "table", interrupted)
+        assert run(capsys, "table", "--family", "stirling2", "--n-max", "2") == (
+            130, "", "interrupted\n")
+        monkeypatch.setattr(sys, "argv", ["qbern", "table", "--family", "stirling2",
+                                          "--n-max", "2"])
+        with pytest.raises(SystemExit) as exit_:
+            qbern.cli.entry()
+        assert exit_.value.code == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
+    def test_interrupt_while_writing_removes_a_regular_out_file(self, capsys, monkeypatch,
+                                                                tmp_path):
+        def interrupted(doc, put, base):
+            put("{")
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(qbern.cli.WRITERS, "json", interrupted)
+        target = tmp_path / "t.json"
+        assert run(capsys, "table", "--family", "stirling2", "--n-max", "2",
+                   "--out", str(target)) == (130, "", "interrupted\n")
+        assert not target.exists()

@@ -343,11 +343,12 @@ def fraction_ratios(p):
 
 @st.composite
 def prime_power_polys(draw):
-    """Terms over b^E * c, b a q-denominator (1009 is prime above the split's
-    bound, 12 and 66 hold several primes), whose numerators carry b to a
-    valuation that rises, falls or jumps along each row, at times above E,
-    with either sign; from one term to 48 and from a few bits to about 1,300."""
-    b = draw(st.sampled_from([2, 3, 11, 12, 66, 997, 1009]))
+    """(b, p): p's terms are over b^E * c, b a q-denominator (12, 66 and
+    11 * 1009 hold several primes, 1009 is a prime above 1000), and their
+    numerators carry b to a valuation that rises, falls or jumps along each
+    row, at times above E, with either sign; from one term to 48 and from a
+    few bits to about 1,300."""
+    b = draw(st.sampled_from([2, 3, 11, 12, 66, 997, 1009, 11 * 1009]))
     e = draw(st.integers(0, 1200 // b.bit_length()))
     den = b ** e * draw(st.integers(1, 10**40))
     terms = {}
@@ -359,12 +360,14 @@ def prime_power_polys(draw):
             u = draw(st.integers(-10**30, 10**30).filter(bool))
             terms[(i, j)] = F(u * b ** max(v, 0), den)
             v += step
-    return Poly2(terms)
+    return b, Poly2(terms)
 
 
 @settings(max_examples=150, deadline=None)
-@given(p=prime_power_polys())
-def test_term_ratios_match_fractions_over_prime_powers(p):
+@given(bp=prime_power_polys())
+def test_term_ratios_match_fractions_over_prime_powers(bp):
+    b, p = bp
+    assert p.term_ratios(b) == fraction_ratios(p)
     assert p.term_ratios() == fraction_ratios(p)
 
 
@@ -374,8 +377,8 @@ def test_term_ratios_on_both_sides_of_the_size_gate(n_terms, den):
     p = Poly2({(0, j): F((-1) ** j * 11 ** (j * 20) * (j + 2), den) for j in range(n_terms)})
     assert p._den == den
     # 11^148 is split off only from 8 terms over 512 bits
-    assert poly._split(den, n_terms)[1] == (148 if n_terms == 8 and den == 11 ** 148 else 0)
-    assert p.term_ratios() == fraction_ratios(p)
+    assert poly._split(den, n_terms, 11)[1] == (148 if n_terms == 8 and den == 11 ** 148 else 0)
+    assert p.term_ratios(11) == fraction_ratios(p)
 
 
 @pytest.mark.parametrize("q", [F(7, 11), F(-7, 3), F(5, 66), None])
@@ -387,20 +390,63 @@ def test_term_ratios_match_fractions_on_n16_tables(q):
                 assert p.term_ratios() == fraction_ratios(p)
 
 
+def wide_gcds(monkeypatch, p, base, bits=1000):
+    """``p.term_ratios(base)`` and the count of its ``gcd`` calls whose
+    operands are all over ``bits`` bits."""
+    wide = []
+
+    def counting(*args):
+        if min(abs(a).bit_length() for a in args) > bits:
+            wide.append(args)
+        return math.gcd(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(poly, "gcd", counting)
+        got = p.term_ratios(base)
+    return got, len(wide)
+
+
 def test_term_ratios_split_off_the_prime_power_of_a_deep_entry(monkeypatch):
     # entry 40 of qeuler a1 at q = 7/11 has denominator 11^780 (2,699 bits):
     # a gcd with all of it per term is 861 gcds of two operands over 1,000 bits
     p = family_table(FamilySpec("q_euler", 1, QParam(F(7, 11))), 40)[40]
     assert p._den == 11 ** 780
-    wide = []
-
-    def counting(*args):
-        if min(abs(a).bit_length() for a in args) > 1000:
-            wide.append(args)
-        return math.gcd(*args)
-
-    monkeypatch.setattr(poly, "gcd", counting)
-    got = p.term_ratios()
-    assert len(wide) == 0
-    monkeypatch.undo()
+    got, wide = wide_gcds(monkeypatch, p, 11)
+    assert wide == 0
     assert got == fraction_ratios(p)
+
+
+def test_term_ratios_split_at_a_prime_above_1000(monkeypatch):
+    # entry 40 of qbernoulli a1 at q = 7/1009 has a 9,061-bit denominator,
+    # 7,784 bits of it a power of 1009 and no large power of a prime below
+    # 1000; with 1009^780 split off, each term's gcd is with the 1,278-bit
+    # cofactor, not with 9,061 bits
+    p = family_table(FamilySpec("q_bernoulli", 1, QParam(F(7, 1009))), 40)[40]
+    assert p._den.bit_length() == 9061
+    assert poly._split(p._den, len(p._num), 1009)[1] == 780
+    got, wide = wide_gcds(monkeypatch, p, 1009, bits=2000)
+    assert wide == 0
+    assert got == fraction_ratios(p)
+
+
+@pytest.mark.parametrize("b, primes", [
+    (1, []), (12, [2, 3]), (66, [2, 3, 11]), (1009, [1009]), (1009 ** 2, [1009]),
+    (1009 * 1013, [1009, 1013]),
+    # trial division below 1024 proves no prime at or above 1024^2 = 2^20 ...
+    (1000000007, []), (2 * 1000000007, [2]),
+    # ... and such a leftover may be composite
+    (1031 * 1033, []),
+])
+def test_primes_of_the_base(b, primes):
+    assert list(poly._primes(b)) == primes
+    # terms over b^E times a cofactor split at the largest prime power of b
+    # when b has a prime, and otherwise run the one-gcd loop; both are exact
+    den = b ** (600 // b.bit_length() + 1) * 5 ** 7 if b > 1 else 7 ** 300
+    p = Poly2({(0, j): F(b ** j * (j - 3), den) for j in range(12)})
+    pw, e, c = poly._split(p._den, 12, b)
+    if primes:
+        powers = {q: q ** poly._strip(p._den, poly._Powers(q), 10**4)[0] for q in primes}
+        assert pw.p ** e == max(powers.values()) and pw.p ** e * c == p._den
+    else:
+        assert (pw.p, e, c) == (1, 0, p._den)
+    assert p.term_ratios(b) == fraction_ratios(p)
