@@ -813,8 +813,7 @@ class TestClosedPipesAndInterrupts:
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=120) in codes
-        assert b"Traceback" not in err and b"internal error" not in err
-        assert err == b""
+        assert err == b""  # so no traceback and no "internal error" line
 
     def test_stdout_write_that_raises_broken_pipe_exits_141(self, capsys, monkeypatch):
         # a real descriptor, which pytest's captured stdout lacks: a pipe with
