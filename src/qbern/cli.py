@@ -20,7 +20,9 @@ Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
 3 domain errors (e.g. q = 1, or a value too large for its decimal
 field), 4 any other error (``internal error: <type>: <message>`` on
 stderr), 130 an interrupt, 141 a reader that closed stdout (``| head``;
-no stderr line).  No input ends in a traceback.
+no stderr line).  No input ends in a traceback.  ``entry`` (the console
+script and ``python -m qbern.cli``) lifts Python's int-to-str digit
+limit, so it writes coefficients of any size; ``main`` keeps the limit.
 """
 
 from __future__ import annotations
@@ -471,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:  # console-script wrapper
+    # a deep table at a large q-denominator exceeds the default digit limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(main())
 
 

@@ -161,14 +161,16 @@ class Point:
 
     B, E are the Bernoulli and Euler tables of order alpha (1 when the
     identity has no alpha axis), Bm, Em those of order alpha - 1, B1, E1
-    those of order 1, and T the table of the point's kind.
+    those of order 1, and T the table of the point's kind.  ``rid`` is the
+    point's report id, the store's name for the bracket of a shared
+    addition-theorem formula, so no two identities can share one.
     """
 
     q: QParam | None = None
     alpha = 1
 
-    def __init__(self, cache: TableCache, **params):
-        self.cache = cache
+    def __init__(self, cache: TableCache, rid: str, **params):
+        self.cache, self.rid = cache, rid
         self.__dict__.update(params)
 
     def table(self, kind: str, alpha: int) -> PolyTable:
@@ -223,38 +225,38 @@ class Point:
 # -- the shared brackets ---------------------------------------------
 
 
-def _sp1_y(c: Point, name: str, lower) -> Poly2:
+def _sp1_y(c: Point, lower) -> Poly2:
     """sp1-1, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
     B, E1, m = c.B, c.E1, c.m
 
     def bracket(k):
         return m ** k * B.y0[k] + c.ysum(k, B.ym1) + m * q_number(c.q, k) * c.ysum(k - 1, lower)
 
-    rhs = qconv(c.q, c.n, c.seq(name, bracket, "alpha", "m"),
+    rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                 c.seq("E1.x0(my)", lambda i: E1.x0[i].scale_var("y", m), "m"))
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
-def _sp1_x(c: Point, name: str, lower) -> Poly2:
+def _sp1_x(c: Point, lower) -> Poly2:
     """sp1-2, with the order-(alpha - 1) polynomials at x = 0 as ``lower``."""
     B, E1, m = c.B, c.E1, c.m
 
     def bracket(k):
         return B.x0[k] + c.xsum(k, B.x0) + q_number(c.q, k) * c.xsum(k - 1, lower)
 
-    rhs = qconv(c.q, c.n, c.seq(name, bracket, "alpha", "m"),
+    rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                 c.seq("E1.y0(mx)", lambda i: E1.y0[i].scale_var("x", m), "m"), lambda k: m ** k)
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
-def _sp2_y(c: Point, name: str, lower) -> Poly2:
+def _sp2_y(c: Point, lower) -> Poly2:
     """sp2-2, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
     E, B1, m, low = c.E, c.B1, c.m, _fn(lower)
 
     def bracket(k):
         return c.ysum(k + 1, lambda j: 2 * low(j) - E.ym1[j]) - m ** (k + 1) * E.y0[k + 1]
 
-    return qconv(c.q, c.n, c.seq(name, bracket, "alpha", "m"),
+    return qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                  c.seq("B1.x0(my)", lambda i: B1.x0[i].scale_var("y", m), "m"),
                  lambda k: 1 / (Fraction(m) ** c.n * q_number(c.q, k + 1)))
 
@@ -265,7 +267,7 @@ def _sp2_x(c: Point) -> Poly2:
     def bracket(k):
         return c.xsum(k + 1, lambda j: 2 * Em.x0[j] - E.x0[j]) - E.x0[k + 1]
 
-    return qconv(c.q, c.n, c.seq("sp2-1", bracket, "alpha", "m"),
+    return qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                  c.seq("B1.y0(mx)", lambda i: B1.y0[i].scale_var("x", m), "m"),
                  lambda k: m ** (k - c.n + 1) / q_number(c.q, k + 1))
 
@@ -357,7 +359,7 @@ def _suite(name: str, doc: str, *defs: tuple, verdict_only: bool = False):
             for rid, params in ident.points(grid):
                 if not isinstance(rid, str):
                     rid = rid[tuple(KINDS).index(params["kind"])]
-                c = Point(cache, **params)
+                c = Point(cache, rid, **params)
                 reports.append(IdentityReport(
                     rid, tuple((k, str(v)) for k, v in params.items()),
                     ident.lhs(c) - ident.rhs(c), verdict_only))
@@ -390,7 +392,7 @@ check_q_derivative = _suite(
     (("lemma2-bern-x", "lemma2-eul-x"), (KIND, N1, ALPHA0, Q), lambda c: c.T[c.n].jackson("x", c.q),
      lambda c: c.down(c.T)),
     (("lemma2-bern-y", "lemma2-eul-y"), (KIND, N1, ALPHA0, Q), lambda c: c.T[c.n].jackson("y", c.q),
-     lambda c: c.down(lambda i: c.T[i].scale_var("y", c.q.value))),
+     lambda c: c.down(lambda i: c.T[i].scale_var("y", c.q.value if c.q else 1))),
 )
 check_difference = _suite(
     "lemma3", "Lemma 3: difference equations linking order alpha to order alpha - 1.",
@@ -425,21 +427,21 @@ check_recurrence = _suite(
 )
 check_sp1 = _suite(
     "sp1", "Both displays of the Bernoulli-through-Euler addition theorem.",
-    ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "sp1-1", c.Bm.ym1)),
-    ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "sp1-2", c.Bm.x0)),
+    ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.Bm.ym1)),
+    ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.Bm.x0)),
 )
 check_sp2 = _suite(
     "sp2", "Both displays of the Euler-through-Bernoulli addition theorem.",
     ("sp2-1", (N, ALPHA, M, Q), lambda c: c.E[c.n], _sp2_x),
-    ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "sp2-2", c.Em.ym1)),
+    ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.Em.ym1)),
 )
 check_corollaries = _suite(
     "corollaries", "The theorems at order one with the order-zero polynomials written out "
     "as pair powers, the Cheon-type expansions, and classical forms.",
-    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "c1-1", c.pair_ym1),
+    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.pair_ym1),
      "classical-c2-2"),
-    ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "c1-2", c.ey)),
-    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "euler-c1", c.pair_ym1),
+    ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.ey)),
+    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.pair_ym1),
      "classical-euler-c2-2"),
     ("cw1", (N, Q), lambda c: c.B[c.n],
      lambda c: qconv(c.q, c.n, lambda k, B=c.B: B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
@@ -116,8 +117,10 @@ class Poly2:
         the guess affect only the time; with nothing split (p^e = 1) the
         loop does one gcd with the whole denominator per term."""
         items = sorted(self._num.items())
-        pw, e, c = _split(self._den, len(items), base)
-        p = pw.p
+        p, e, c = _split(self._den, len(items), base)
+        # a memo takes ~7 us to build, ~30 ms over the 5,157 residuals of a default-grid
+        # verify, which split nothing; with nothing split the loop reads only p^0 = 1
+        pw = cache(p.__pow__) if e else p.__pow__
         out = []
         v = dv = 0
         for k, m in items:
@@ -125,12 +128,12 @@ class Poly2:
             if w > e:
                 w = e
             if w > 0:
-                m, r = divmod(m, pw[w])
+                m, r = divmod(m, pw(w))
                 if r:
                     # the numerator is m * p^w + r with 0 < r < p^w, so its
                     # valuation at p is v_p(r) < w
                     s, r = _strip(r, pw, w)
-                    m, w = m * pw[w - s] + r, s
+                    m, w = m * pw(w - s) + r, s
             else:
                 w = 0
             if w < e and not m % p:
@@ -138,7 +141,7 @@ class Poly2:
                 w += s
             dv, v = w - v, w
             h = gcd(m, c)
-            out.append((k, m // h, c // h * pw[e - w]))
+            out.append((k, m // h, c // h * pw(e - w)))
         return out
 
     # -- ring arithmetic ----------------------------------------------
@@ -255,34 +258,20 @@ class Poly2:
         ), self._den * den))
 
 
-class _Powers(dict):
-    """p^i by exponent i, each computed on its first read."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, i: int) -> int:
-        self[i] = out = self.p ** i
-        return out
-
-
-def _strip(x: int, pw: _Powers, cap: int) -> tuple[int, int]:
-    """(w, x / p^w) for w = min(v_p(x), cap), x nonzero: divide out p^1,
-    p^2, p^4, ... while they divide, then halve the step back to 1, so
-    that w costs O(log w) divisions and w = 0 costs one."""
+def _strip(x: int, pw: Callable[[int], int], cap: int) -> tuple[int, int]:
+    """(w, x / p^w) for w = min(v_p(x), cap), x nonzero and pw(i) = p^i:
+    divide out p^1, p^2, p^4, ... while they divide, then halve the step
+    back to 1, so that w costs O(log w) divisions and w = 0 costs one."""
     w, step = 0, 1
     while step <= cap - w:
-        y, r = divmod(x, pw[step])
+        y, r = divmod(x, pw(step))
         if r:
             break
         x, w, step = y, w + step, 2 * step
     while step > 1:
         step //= 2
         if step <= cap - w:
-            y, r = divmod(x, pw[step])
+            y, r = divmod(x, pw(step))
             if not r:
                 x, w = y, w + step
     return w, x
@@ -300,11 +289,11 @@ def _primes(b: int) -> Iterator[int]:
         yield b
 
 
-def _split(den: int, n_terms: int, base: int) -> tuple[_Powers, int, int]:
-    """(powers of p, e, c) with den = p^e * c, p not dividing c, and p^e the
-    largest power in den of a prime of ``base`` (the largest power leaves the
+def _split(den: int, n_terms: int, base: int) -> tuple[int, int, int]:
+    """(p, e, c) with den = p^e * c, p not dividing c, and p^e the largest
+    power in den of a prime of ``base`` (the largest power leaves the
     smallest cofactor); p = 1, e = 0 and c = den when nothing is split."""
-    best = (_Powers(1), 0, den)
+    best = (1, 0, den)
     bits = den.bit_length()
     # under 512 bits the split made q-Bernoulli entries 1.2-6x slower (n <= 14
     # at q = 7/11, n <= 22 at q = -7/3), and 2-6 terms of a 1,500-3,100-bit
@@ -312,10 +301,9 @@ def _split(den: int, n_terms: int, base: int) -> tuple[_Powers, int, int]:
     if n_terms < 8 or bits < 512:
         return best
     for p in _primes(abs(base)):
-        pw = _Powers(p)
-        e, c = _strip(den, pw, bits)
+        e, c = _strip(den, cache(p.__pow__), bits)
         if c < best[2]:
-            best = (pw, e, c)
+            best = (p, e, c)
     return best
 
 

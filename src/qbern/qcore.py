@@ -10,13 +10,14 @@ one convention turns every q-formula built from these primitives into
 its classical counterpart.
 
 The scalars are asked for over and over with few distinct arguments (a
-``verify`` run on the default grid reads 57,993 of them, of 511 distinct
-entries: 57,482 hits and 511 misses in its meta ``timing.scalar_memo``),
-so each public function checks its arguments and then reads
-``scalar_memo``: one least-recently-used memo keyed on (kernel, q,
-arguments), with a fixed bound so that a caller streaming new q values
-evicts old entries instead of growing the process.
-``qspecial`` keeps its Stirling rows in the same memo.
+``verify`` run on the default grid reads 57,903 of them, of 421 distinct
+entries: 57,482 hits and 421 misses in its meta ``timing.scalar_memo``),
+so ``q_number``, ``q_factorial``, ``q_binomial`` and ``gauss_exponent``
+each check their arguments and then read ``scalar_memo``: one
+least-recently-used memo keyed on (kernel, q, arguments), with a fixed
+bound so that a caller streaming new q values evicts old entries instead
+of growing the process.  ``qspecial`` keeps its Stirling rows in the same
+memo; ``q_pair_power`` sums memoized scalars and keeps nothing itself.
 """
 
 from __future__ import annotations
@@ -167,14 +168,12 @@ def _gauss_exponent(q: QParam | None, k: int) -> Fraction:
 def q_pair_power(q: QParam | None, a: Fraction, b: Fraction, n: int) -> Fraction:
     """Scalar q-analogue of (a + b)^n.
 
-    Sum over k of [n choose k] q^{k(k-1)/2} a^{n-k} b^k.
+    Sum over k of [n choose k] q^{k(k-1)/2} a^{n-k} b^k.  Not memoized: a
+    caller that reads a value again keeps it (``identities.Point.P``).
     """
     if operator.index(n) < 0:
         raise ValueError(f"q_pair_power requires n >= 0, got {n}")
-    return scalar_memo(_q_pair_power, q, _rational(a), _rational(b), n)
-
-
-def _q_pair_power(q: QParam | None, a: Fraction, b: Fraction, n: int) -> Fraction:
+    a, b = _rational(a), _rational(b)
     out = Fraction(0)
     for k in range(n + 1):
         out += q_binomial(q, n, k) * gauss_exponent(q, k) * a ** (n - k) * b ** k

@@ -796,6 +796,29 @@ def cli_process(*argv, **popen):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
 
 
+def test_console_script_writes_coefficients_over_the_digit_limit():
+    # entry 9's denominator has over 4,300 digits, Python's default int-to-str
+    # limit; ``entry`` lifts it, where ``main`` in-process keeps it
+    proc = cli_process("table", "--family", "qeuler", "--n-max", "9",
+                       "--q", f"1/{10 ** 150 + 1}", "--no-meta")
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert len(out) == 1_090_673
+    assert hashlib.sha256(out).hexdigest() == (
+        "fca1081887aac69614ac21be9712287f56be115731fb7a67cacc4176eb14793e")
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("classical-bernoulli", ("--alpha", "3")), ("classical-euler", ("--alpha", "2")),
+    ("stirling2", ()),
+])
+def test_classical_tables_accept_and_ignore_q(capsys, family, alpha):
+    argv = ("table", "--family", family, *alpha, "--n-max", "5", "--no-meta")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--q", "7/11") == (0, out, "")
+
+
 class TestClosedPipesAndInterrupts:
     @pytest.mark.parametrize("n_max, lines, codes", [
         # megabytes, far past any pipe buffer: the writer meets the closed pipe
@@ -851,8 +874,14 @@ class TestClosedPipesAndInterrupts:
             130, "", "interrupted\n")
         monkeypatch.setattr(sys, "argv", ["qbern", "table", "--family", "stirling2",
                                           "--n-max", "2"])
-        with pytest.raises(SystemExit) as exit_:
-            qbern.cli.entry()
+        # ``entry`` lifts the int-to-str digit limit for the process; put it back
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                qbern.cli.entry()
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
         assert exit_.value.code == 130
         assert capsys.readouterr().err == "interrupted\n"
 

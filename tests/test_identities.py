@@ -144,13 +144,52 @@ def test_reports_are_deterministically_ordered():
 
 def test_recurrence_power_hit_hashes_no_fraction(monkeypatch):
     q, cache = QParam(F(1, 2)), identities.TableCache(0)
-    first = identities.Point(cache, q=q, m=3).P(4)
+    first = identities.Point(cache, "be11-1", q=q, m=3).P(4)
     assert first == identities.q_pair_power(q, F(1, 3), F(-1), 4)
     # a second read is keyed on the integer m: it builds and hashes no Fraction
     calls = []
     monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or 0)
-    assert identities.Point(cache, q=q, m=3).P(4) == first
+    assert identities.Point(cache, "be11-1", q=q, m=3).P(4) == first
     assert calls == []
+
+
+def test_each_recurrence_power_is_computed_once_per_run(monkeypatch):
+    # q_pair_power keeps no memo of its own: the run store is the only one
+    calls = []
+    real = identities.q_pair_power
+    monkeypatch.setattr(identities, "q_pair_power",
+                        lambda q, a, b, p: calls.append((q, a, b, p)) or real(q, a, b, p))
+    run_suite("lemma5", SMALL)
+    assert calls and len(calls) == len(set(calls))
+    assert {(q, a.denominator) for q, a, _, _ in calls} == {
+        (q, m) for q in SMALL.q_set for m in SMALL.m_set}
+
+
+SEQUENCES = {"q_bernoulli", "q_euler", "pair", "pair_ym1", "P",
+             "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)", "B1.y0(mx)"}
+BRACKETS = {"sp1-1", "sp1-2", "sp2-1", "sp2-2", "c1-1", "c1-2", "euler-c1"}
+
+
+def test_brackets_are_keyed_by_their_report_id(monkeypatch):
+    # every bracket of the addition theorems is stored under the id of the
+    # report that reads it, and the classical twins under their own ids
+    stores = []
+    real = identities.TableCache
+    monkeypatch.setattr(identities, "TableCache",
+                        lambda max_n: stores.append(real(max_n)) or stores[-1])
+    for suite in ("sp1", "sp2", "corollaries"):
+        run_suite(suite, SMALL)
+    keys = [k for store in stores for k in store._store if k[0] not in SEQUENCES]
+    assert {k[0] for k in keys if k[1] is not None} == BRACKETS
+    assert {k[0] for k in keys if k[1] is None} == {"classical-c2-2", "classical-euler-c2-2"}
+
+
+def test_every_suite_runs_at_the_classical_point():
+    grid = Grid(4, (0, 1, 2), (1, 2), (None,))
+    for suite in identities.SUITE_ORDER:
+        reports = run_suite(suite, grid)
+        assert reports, suite
+        assert [r for r in reports if not r.passed and not r.verdict_only] == [], suite
 
 
 def test_each_pair_power_is_built_once_per_run(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -443,10 +444,11 @@ def test_primes_of_the_base(b, primes):
     # when b has a prime, and otherwise run the one-gcd loop; both are exact
     den = b ** (600 // b.bit_length() + 1) * 5 ** 7 if b > 1 else 7 ** 300
     p = Poly2({(0, j): F(b ** j * (j - 3), den) for j in range(12)})
-    pw, e, c = poly._split(p._den, 12, b)
+    prime, e, c = poly._split(p._den, 12, b)
     if primes:
-        powers = {q: q ** poly._strip(p._den, poly._Powers(q), 10**4)[0] for q in primes}
-        assert pw.p ** e == max(powers.values()) and pw.p ** e * c == p._den
+        powers = {q: q ** poly._strip(p._den, functools.cache(q.__pow__), 10**4)[0]
+                  for q in primes}
+        assert prime ** e == max(powers.values()) and prime ** e * c == p._den
     else:
-        assert (pw.p, e, c) == (1, 0, p._den)
+        assert (prime, e, c) == (1, 0, p._den)
     assert p.term_ratios(b) == fraction_ratios(p)
