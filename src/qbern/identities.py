@@ -9,11 +9,16 @@ Vocabulary: ``qconv(q, n, a, b, w)`` = sum_k [n k]_q w(k) a(k) b(n - k),
 the convolution most formulas are built from; a table ``T`` has rows
 ``T[n]``, projected rows ``T.x0``, ``T.y0``, ``T.ym1`` (x = 0, y = 0,
 y = -1) and numbers ``T.num``; a named sequence ``c.seq(name, f, *axes)``
-is f keyed on q and the point's values of ``axes``.  One store builds
-each table and sequence value, pair and recurrence powers included, once
-per run.  Every ``c.B`` is a read of that store, so a formula that reads
-a table at each index binds it once, as a local or as a lambda default
-(``lambda j, B=c.B: ...``).  ``q = None`` is the classical limit (see
+is f keyed on q and the point's values of ``axes``.  The weighted sums
+``c.ysum(k, "B.ym1")`` = sum_j [k j] m^j B.ym1[j] and ``c.xsum(k, "Em.x0")``
+= sum_j [k j] P(k - j) Em.x0[j] name what they sum, and are store reads
+keyed on q, m, that name (a table's kind and order and the projection, so
+``Bm`` at alpha is ``B`` at alpha - 1) and k; a sum of a difference is
+written as the difference of two sums.  One store builds each table,
+sequence value and weighted sum, pair and recurrence powers included,
+once per run.  Every ``c.B`` is a read of that store, so a formula that
+reads a table at each index binds it once, as a local or as a lambda
+default (``lambda j, B=c.B: ...``).  ``q = None`` is the classical limit (see
 ``qcore``), so a classical q -> 1 instance of a q-identity is that
 definition at q = None.
 
@@ -33,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .poly import Poly2, symbolic_pair_power
-from .qcore import QParam, q_binomial, q_number, q_pair_power, gauss_exponent
+from .qcore import QParam, q_binomial, q_binomial_row, q_number, q_pair_power, gauss_exponent
 from .series import Eq_series, eq_series
 from .qspecial import FamilySpec, PolyTable, family_table, q_bernstein, q_stirling2
 
@@ -146,14 +151,28 @@ def _x(j: int) -> Poly2:
 
 
 def qconv(q: QParam | None, n: int, a, b, w: Callable = _one) -> Poly2:
-    """sum_k [n k]_q w(k) a(k) b(n - k); a and b are sequences or functions
-    of polynomials or scalars, and terms of zero weight are skipped."""
-    a, b = _fn(a), _fn(b)
+    """sum_k [n k]_q w(k) a(k) b(n - k), the empty sum zero for n < 0; a and b
+    are sequences or functions of polynomials or scalars, and terms of zero
+    weight are skipped."""
+    if n < 0:
+        return Poly2.zero()
+    a, b, row = _fn(a), _fn(b), q_binomial_row(q, n)
     if w is _one:  # no weight product per summand
-        return Poly2.linear_combination((q_binomial(q, n, k), a(k), b(n - k)) for k in range(n + 1))
+        return Poly2.linear_combination((c, a(k), b(n - k)) for k, c in enumerate(row))
     return Poly2.linear_combination(
-        (c, a(k), b(n - k)) for k in range(n + 1) if (c := q_binomial(q, n, k) * w(k))
+        (c, a(k), b(n - k)) for k, r in enumerate(row) if (c := r * w(k))
     )
+
+
+class _Table:
+    """A table attribute of ``Point``: on a point c it is the run's table of
+    (kind, order) = ``at(c)``, and on the class it is itself."""
+
+    def __init__(self, at: Callable[["Point"], tuple[str, int]]):
+        self.at = at
+
+    def __get__(self, c: "Point | None", owner: type):
+        return self if c is None else c.table(*self.at(c))
 
 
 class Point:
@@ -182,13 +201,13 @@ class Point:
         key = (name, self.q, *(getattr(self, a) for a in axes))
         return lambda i: self.cache.once((*key, i), lambda: f(i))
 
-    B = property(lambda c: c.table(BERN, c.alpha))
-    E = property(lambda c: c.table(EUL, c.alpha))
-    Bm = property(lambda c: c.table(BERN, c.alpha - 1))
-    Em = property(lambda c: c.table(EUL, c.alpha - 1))
-    B1 = property(lambda c: c.table(BERN, 1))
-    E1 = property(lambda c: c.table(EUL, 1))
-    T = property(lambda c: c.table(KINDS[c.kind], c.alpha))
+    B = _Table(lambda c: (BERN, c.alpha))
+    E = _Table(lambda c: (EUL, c.alpha))
+    Bm = _Table(lambda c: (BERN, c.alpha - 1))
+    Em = _Table(lambda c: (EUL, c.alpha - 1))
+    B1 = _Table(lambda c: (BERN, 1))
+    E1 = _Table(lambda c: (EUL, 1))
+    T = _Table(lambda c: (KINDS[c.kind], c.alpha))
 
     def ey(self, j: int) -> Poly2:
         """q^{j(j-1)/2} y^j: the order-zero polynomial at x = 0."""
@@ -209,13 +228,23 @@ class Point:
         run's store under q and the integer m: a read builds and hashes no Fraction."""
         return self.seq("P", lambda p: q_pair_power(self.q, Fraction(1, self.m), -1, p), "m")
 
-    def ysum(self, k: int, s) -> Poly2:
-        """sum_j [k j] m^j s(j)."""
-        return qconv(self.q, k, s, _one, lambda j: self.m ** j)
+    def ysum(self, k: int, s: str) -> Poly2:
+        """sum_j [k j] m^j s(j), for the sequence named ``s`` (see ``_sum``)."""
+        return self._sum("ysum", k, s, _one, lambda j: self.m ** j)
 
-    def xsum(self, k: int, s) -> Poly2:
-        """sum_j [k j] P(k - j) s(j)."""
-        return qconv(self.q, k, s, self.P)
+    def xsum(self, k: int, s: str) -> Poly2:
+        """sum_j [k j] P(k - j) s(j), for the sequence named ``s`` (see ``_sum``)."""
+        return self._sum("xsum", k, s, self.P, _one)
+
+    def _sum(self, name: str, k: int, s: str, b, w) -> Poly2:
+        """qconv(q, k, s, b, w), kept in the run's store under ``name``, q, m,
+        what it sums and k.  ``s`` names a projection of one of the point's
+        tables ("B.ym1", "Em.x0"), which the store knows by the table's kind
+        and order, or a sequence of the point that reads only q ("pair_ym1", "ey")."""
+        table, _, proj = s.partition(".")
+        what = (*getattr(Point, table).at(self), proj) if proj else (s,)
+        return self.cache.once((name, self.q, self.m, *what, k), lambda: qconv(
+            self.q, k, getattr(getattr(self, table), proj) if proj else getattr(self, s), b, w))
 
     def down(self, s) -> Poly2:
         """[n] s(n - 1), zero at n = 0."""
@@ -225,36 +254,36 @@ class Point:
 # -- the shared brackets ---------------------------------------------
 
 
-def _sp1_y(c: Point, lower) -> Poly2:
-    """sp1-1, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
+def _sp1_y(c: Point, lower: str) -> Poly2:
+    """sp1-1, with the order-(alpha - 1) polynomials at y = -1 named ``lower``."""
     B, E1, m = c.B, c.E1, c.m
 
     def bracket(k):
-        return m ** k * B.y0[k] + c.ysum(k, B.ym1) + m * q_number(c.q, k) * c.ysum(k - 1, lower)
+        return m ** k * B.y0[k] + c.ysum(k, "B.ym1") + m * q_number(c.q, k) * c.ysum(k - 1, lower)
 
     rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                 c.seq("E1.x0(my)", lambda i: E1.x0[i].scale_var("y", m), "m"))
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
-def _sp1_x(c: Point, lower) -> Poly2:
-    """sp1-2, with the order-(alpha - 1) polynomials at x = 0 as ``lower``."""
+def _sp1_x(c: Point, lower: str) -> Poly2:
+    """sp1-2, with the order-(alpha - 1) polynomials at x = 0 named ``lower``."""
     B, E1, m = c.B, c.E1, c.m
 
     def bracket(k):
-        return B.x0[k] + c.xsum(k, B.x0) + q_number(c.q, k) * c.xsum(k - 1, lower)
+        return B.x0[k] + c.xsum(k, "B.x0") + q_number(c.q, k) * c.xsum(k - 1, lower)
 
     rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                 c.seq("E1.y0(mx)", lambda i: E1.y0[i].scale_var("x", m), "m"), lambda k: m ** k)
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
-def _sp2_y(c: Point, lower) -> Poly2:
-    """sp2-2, with the order-(alpha - 1) polynomials at y = -1 as ``lower``."""
-    E, B1, m, low = c.E, c.B1, c.m, _fn(lower)
+def _sp2_y(c: Point, lower: str) -> Poly2:
+    """sp2-2, with the order-(alpha - 1) polynomials at y = -1 named ``lower``."""
+    E, B1, m = c.E, c.B1, c.m
 
-    def bracket(k):
-        return c.ysum(k + 1, lambda j: 2 * low(j) - E.ym1[j]) - m ** (k + 1) * E.y0[k + 1]
+    def bracket(k):  # the sum of 2 lower - E.ym1, by linearity
+        return 2 * c.ysum(k + 1, lower) - c.ysum(k + 1, "E.ym1") - m ** (k + 1) * E.y0[k + 1]
 
     return qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                  c.seq("B1.x0(my)", lambda i: B1.x0[i].scale_var("y", m), "m"),
@@ -262,10 +291,10 @@ def _sp2_y(c: Point, lower) -> Poly2:
 
 
 def _sp2_x(c: Point) -> Poly2:
-    E, Em, B1, m = c.E, c.Em, c.B1, Fraction(c.m)
+    E, B1, m = c.E, c.B1, Fraction(c.m)
 
-    def bracket(k):
-        return c.xsum(k + 1, lambda j: 2 * Em.x0[j] - E.x0[j]) - E.x0[k + 1]
+    def bracket(k):  # the sum of 2 Em.x0 - E.x0, by linearity
+        return 2 * c.xsum(k + 1, "Em.x0") - c.xsum(k + 1, "E.x0") - E.x0[k + 1]
 
     return qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
                  c.seq("B1.y0(mx)", lambda i: B1.y0[i].scale_var("x", m), "m"),
@@ -414,34 +443,35 @@ check_inversion = _suite(
 )
 check_recurrence = _suite(
     "lemma5", "Lemma 5: the four recurrences with the scaling modulus m.",
-    ("be11", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j, B=c.B: B.y0[j] - B.ym1[j]),
-     lambda c: c.m * q_number(c.q, c.k) * c.ysum(c.k - 1, c.Bm.ym1)),
+    # the sums of B.y0 - B.ym1 and E.y0 + E.ym1, by linearity
+    ("be11", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, "B.y0") - c.ysum(c.k, "B.ym1"),
+     lambda c: c.m * q_number(c.q, c.k) * c.ysum(c.k - 1, "Bm.ym1")),
     ("be11-1", (K, ALPHA, M, Q),
-     lambda c: c.B[c.k].substitute("x", Fraction(1, c.m)) - c.xsum(c.k, c.B.x0),
-     lambda c: q_number(c.q, c.k) * c.xsum(c.k - 1, c.Bm.x0)),
-    ("be12", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, lambda j, E=c.E: E.y0[j] + E.ym1[j]),
-     lambda c: 2 * c.ysum(c.k, c.Em.ym1)),
+     lambda c: c.B[c.k].substitute("x", Fraction(1, c.m)) - c.xsum(c.k, "B.x0"),
+     lambda c: q_number(c.q, c.k) * c.xsum(c.k - 1, "Bm.x0")),
+    ("be12", (K, ALPHA, M, Q), lambda c: c.ysum(c.k, "E.y0") + c.ysum(c.k, "E.ym1"),
+     lambda c: 2 * c.ysum(c.k, "Em.ym1")),
     ("be12-1", (K, ALPHA, M, Q),
-     lambda c: c.E[c.k].substitute("x", Fraction(1, c.m)) + c.xsum(c.k, c.E.x0),
-     lambda c: 2 * c.xsum(c.k, c.Em.x0)),
+     lambda c: c.E[c.k].substitute("x", Fraction(1, c.m)) + c.xsum(c.k, "E.x0"),
+     lambda c: 2 * c.xsum(c.k, "Em.x0")),
 )
 check_sp1 = _suite(
     "sp1", "Both displays of the Bernoulli-through-Euler addition theorem.",
-    ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.Bm.ym1)),
-    ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.Bm.x0)),
+    ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "Bm.ym1")),
+    ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "Bm.x0")),
 )
 check_sp2 = _suite(
     "sp2", "Both displays of the Euler-through-Bernoulli addition theorem.",
     ("sp2-1", (N, ALPHA, M, Q), lambda c: c.E[c.n], _sp2_x),
-    ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.Em.ym1)),
+    ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "Em.ym1")),
 )
 check_corollaries = _suite(
     "corollaries", "The theorems at order one with the order-zero polynomials written out "
     "as pair powers, the Cheon-type expansions, and classical forms.",
-    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, c.pair_ym1),
+    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "pair_ym1"),
      "classical-c2-2"),
-    ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, c.ey)),
-    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, c.pair_ym1),
+    ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "ey")),
+    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "pair_ym1"),
      "classical-euler-c2-2"),
     ("cw1", (N, Q), lambda c: c.B[c.n],
      lambda c: qconv(c.q, c.n, lambda k, B=c.B: B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)
@@ -460,9 +490,7 @@ check_stirling_theorem = _suite(
     "stirling-theorem", "The unproven mixed classical-Stirling expansion (verdict only): both\n"
     "sides have x-degree at most n, so the n + 2 points x = r/m, with mx integral, decide it.",
     (("stirling-bern", "stirling-eul"), (KIND, N, ALPHA, M, Q),
-     lambda c: Poly2.linear_combination(
-          (1, c.T[c.n].substitute("x", Fraction(r, c.m)), _x(r)) for r in range(c.n + 2)),
-     _stirling_rhs),
+     lambda c: c.T[c.n].samples("x", Fraction(1, c.m), c.n + 2), _stirling_rhs),
     verdict_only=True,
 )
 check_bernstein = _suite(

@@ -18,10 +18,12 @@ are brought to the lcm of their denominators once, each term pair adds
 one integer product to its key, and one content gcd reduces the result.
 A scalar product cancels the scalar against the denominator and the
 numerators' content before it multiplies, so it needs no gcd over the
-result.  Substitution, rescaling and the Jackson derivative are one
-termwise map, ``_termwise``, whose weight depends only on a term's
-degree in one variable; evaluation is two substitutions, and ``swap``
-exchanges x and y by permuting the keys.  A scalar is an ``int`` or a
+result, and a difference of equal polynomials is zero with no
+accumulation.  Substitution, rescaling, the Jackson derivative and
+``samples`` (the partial evaluations at v = r h as the coefficients of
+v^r) are one termwise map, ``_termwise``, whose weights depend only on
+a term's degree in one variable; evaluation is two substitutions, and
+``swap`` exchanges x and y by permuting the keys.  A scalar is an ``int`` or a
 ``Fraction`` (``qcore._rational``); anything else is a ``TypeError``.
 """
 
@@ -155,7 +157,11 @@ class Poly2:
         return self * -1
 
     def __sub__(self, other: "Poly2 | Scalar") -> "Poly2":
-        return _combine([(1, 1, self, None), (-1, 1, _coerce(other), None)])
+        other = _coerce(other)
+        # most identity residuals have equal sides: one comparison, no accumulation
+        if self == other:
+            return Poly2.zero()
+        return _combine([(1, 1, self, None), (-1, 1, other, None)])
 
     def __rsub__(self, other: Scalar) -> "Poly2":
         return _coerce(other) - self
@@ -223,12 +229,19 @@ class Poly2:
     def substitute(self, var: str, value: Scalar) -> "Poly2":
         """Partial evaluation: fix one variable to a constant."""
         vn, vd = _rational(value).as_integer_ratio()
-        return self._termwise(var, lambda d: (0, vn ** d, vd ** d))
+        return self._termwise(var, lambda d: ((0, vn ** d, vd ** d),))
+
+    def samples(self, var: str, h: Scalar, count: int) -> "Poly2":
+        """sum_{r < count} p(v = r h) v^r: the partial evaluations at v = 0, h,
+        ..., (count - 1) h as the coefficients of v^0, ..., v^(count - 1), in
+        one termwise map (v^d -> sum_r (r h)^d v^r) with no substitution."""
+        hn, hd = _rational(h).as_integer_ratio()
+        return self._termwise(var, lambda d: [(r, (r * hn) ** d, hd ** d) for r in range(count)])
 
     def scale_var(self, var: str, c: Scalar) -> "Poly2":
         """Rescale one variable: v -> c * v."""
         cn, cd = _rational(c).as_integer_ratio()
-        return self._termwise(var, lambda d: (d, cn ** d, cd ** d))
+        return self._termwise(var, lambda d: ((d, cn ** d, cd ** d),))
 
     def swap(self) -> "Poly2":
         """x and y exchanged: the keys are permuted and the numerators and
@@ -241,20 +254,21 @@ class Poly2:
         Sends v^n to [n] v^{n-1}, and constants to 0 since [0] = 0; agrees
         with the difference quotient (f(qv) - f(v)) / (qv - v) on polynomials.
         """
-        return self._termwise(var, lambda d: (d - 1, *q_number(q, d).as_integer_ratio()))
+        return self._termwise(var, lambda d: ((d - 1, *q_number(q, d).as_integer_ratio()),))
 
-    def _termwise(self, var: str, step: Callable[[int], tuple[int, int, int]]) -> "Poly2":
-        """Each term c * v^d becomes w * c * v^e, where (e, w's numerator, w's
-        denominator) = step(d), called once per degree d; a zero w drops the term.
-        The weights are brought to the lcm of their denominators once per degree."""
+    def _termwise(self, var: str, step: Callable[[int], Iterable[tuple[int, int, int]]]) -> "Poly2":
+        """Each term c * v^d becomes the sum of w * c * v^e over the (e, w's
+        numerator, w's denominator) of step(d), called once per degree d; a
+        zero w adds nothing.  The weights are brought to the lcm of their
+        denominators once per degree."""
         i = _var_index(var)
         steps = {d: step(d) for d in {k[i] for k in self._num}}
-        den = lcm(*(wd for _, wn, wd in steps.values() if wn))
-        steps = {d: (e, wn * (den // wd)) for d, (e, wn, wd) in steps.items() if wn}
+        den = lcm(*(wd for s in steps.values() for _, wn, wd in s if wn))
+        steps = {d: [(e, wn * (den // wd)) for e, wn, wd in s if wn] for d, s in steps.items()}
         # the key is built inline: a helper call per term made substitution ~4% slower
         return _raw(*_collect((
             ((e, k[1]) if i == 0 else (k[0], e), n * w)
-            for k, n in self._num.items() if k[i] in steps for e, w in (steps[k[i]],)
+            for k, n in self._num.items() for e, w in steps[k[i]]
         ), self._den * den))
 
 

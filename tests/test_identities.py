@@ -166,7 +166,7 @@ def test_each_recurrence_power_is_computed_once_per_run(monkeypatch):
 
 
 SEQUENCES = {"q_bernoulli", "q_euler", "pair", "pair_ym1", "P",
-             "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)", "B1.y0(mx)"}
+             "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)", "B1.y0(mx)", "ysum", "xsum"}
 BRACKETS = {"sp1-1", "sp1-2", "sp2-1", "sp2-2", "c1-1", "c1-2", "euler-c1"}
 
 
@@ -200,6 +200,42 @@ def test_each_pair_power_is_built_once_per_run(monkeypatch):
     run_suite("all", SMALL)
     # alpha-zero reads j <= 10 at both q, the classical corollaries j <= 6 at q = None
     assert len(calls) == len(set(calls)) == 2 * 11 + 7
+
+
+def test_each_weighted_sum_is_built_once_per_run(monkeypatch):
+    # ysum and xsum are store reads keyed on q, m, what they sum and k, where a
+    # table's projection is known by the table's kind and order, so "Bm.ym1" at
+    # alpha = 2 reads the sum of "B.ym1" built at alpha = 1; a sum of a
+    # difference row is the difference of two sums, so no difference row is summed
+    stores, reading, requested, built = [], [], set(), []
+    real_store, real_conv = identities.TableCache, identities.qconv
+    monkeypatch.setattr(identities, "TableCache",
+                        lambda max_n: stores.append(real_store(max_n)) or stores[-1])
+
+    def conv(q, n, *rest):
+        if reading:
+            built.append((q, n))
+        return real_conv(q, n, *rest)
+
+    monkeypatch.setattr(identities, "qconv", conv)
+    for name in ("ysum", "xsum"):
+        def read(c, k, s, real=getattr(identities.Point, name), name=name):
+            requested.add((name, c.q, c.m, c.alpha, s, k))
+            reading.append(s)
+            try:
+                return real(c, k, s)
+            finally:
+                reading.pop()
+        monkeypatch.setattr(identities.Point, name, read)
+
+    run_suite("all", SMALL)
+    (store,) = stores
+    sums = [k for k in store._store if k[0] in ("ysum", "xsum")]
+    assert sums and len(built) == len(sums) < len(requested)
+    q = SMALL.q_set[0]
+    assert {("ysum", q, 2, 1, "B.ym1", 3), ("ysum", q, 2, 2, "Bm.ym1", 3)} <= requested
+    assert ("ysum", q, 2, "q_bernoulli", 1, "ym1", 3) in store._store
+    assert {k[3] for k in sums} == {"q_bernoulli", "q_euler", "pair_ym1", "ey"}
 
 
 def test_one_table_cache_per_run(monkeypatch):

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbern import poly
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
@@ -199,6 +199,35 @@ def test_jackson_matches_difference_quotient(p, var):
 @given(a=polys(), b=polys(), var=st.sampled_from(["x", "y"]))
 def test_jackson_additivity(a, b, var):
     assert (a + b).jackson(var, Q2) == a.jackson(var, Q2) + b.jackson(var, Q2)
+
+
+@given(p=polys(), var=st.sampled_from(["x", "y"]), m=st.integers(1, 4), count=st.integers(1, 10))
+@example(p=Poly2.zero(), var="x", m=3, count=4)
+@example(p=Poly2.const(F(-5, 3)), var="x", m=2, count=6)
+@example(p=Poly2.const(7), var="y", m=1, count=1)
+def test_samples_match_one_substitution_per_point(p, var, m, count):
+    v = X if var == "x" else Y
+    expected = Poly2.linear_combination(
+        (1, p.substitute(var, F(r, m)), v ** r) for r in range(count))
+    assert p.samples(var, F(1, m), count) == expected
+
+
+def test_equal_operands_subtract_to_zero_without_accumulating(monkeypatch):
+    p = X ** 2 * Y - F(3, 5) * X + 7
+    built_apart = Poly2({(0, 0): 7, (1, 0): F(-3, 5), (2, 1): 1})
+    minus_x = Poly2({(2, 1): 1, (1, 0): F(-8, 5), (0, 0): 7})
+    minus_7, from_7 = Poly2({(2, 1): 1, (1, 0): F(-3, 5)}), Poly2({(2, 1): -1, (1, 0): F(3, 5)})
+    calls = []
+    real = poly._combine
+    monkeypatch.setattr(poly, "_combine", lambda triples: calls.append(1) or real(triples))
+    for same in (p, built_apart):
+        d = p - same
+        assert (d._num, d._den) == ({}, 1)
+    assert Poly2.const(F(2, 3)) - F(2, 3) == 0
+    assert calls == []
+    # unequal and scalar operands accumulate as before, one accumulation each
+    assert (p - X, p - 7, 7 - p) == (minus_x, minus_7, from_7)
+    assert len(calls) == 3
 
 
 @given(terms=st.lists(st.tuples(small_fractions, polys() | small_fractions,

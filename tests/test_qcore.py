@@ -10,6 +10,7 @@ from qbern.qcore import (
     QParamError,
     gauss_exponent,
     q_binomial,
+    q_binomial_row,
     q_factorial,
     q_number,
     q_pair_power,
@@ -214,7 +215,8 @@ class TestScalarMemo:
 
     def test_public_scalars_are_plain_functions(self):
         # the memo sits behind them, so they stay traceable and validate every call
-        for fn in (q_number, q_factorial, q_binomial, gauss_exponent, q_pair_power):
+        for fn in (q_number, q_factorial, q_binomial, q_binomial_row, gauss_exponent,
+                   q_pair_power):
             assert isinstance(fn, types.FunctionType)
 
     def test_out_of_range_raises_after_a_cached_hit(self):
@@ -224,6 +226,9 @@ class TestScalarMemo:
             q_binomial(q, 3, 5)
         with pytest.raises(ValueError):
             q_factorial(q, -1)
+        assert q_binomial_row(q, 3) == q_binomial_row(q, 3)
+        with pytest.raises(ValueError):
+            q_binomial_row(q, -1)
 
     def test_float_indices_raise_after_a_cached_hit(self):
         # a float hashes and compares like its int, so it would read the int's entry
@@ -231,7 +236,9 @@ class TestScalarMemo:
         assert q_binomial(q, 4, 2) == F(35, 16)
         assert q_factorial(q, 3) == F(21, 8)
         assert q_pair_power(q, 1, 1, 3) == q_pair_power(q, 1, 1, 3)
+        assert q_binomial_row(q, 4)[2] == F(35, 16)
         for call in (lambda: q_binomial(q, 4, 2.0), lambda: q_binomial(q, 4.0, 2),
+                     lambda: q_binomial_row(q, 4.0),
                      lambda: q_factorial(q, 3.0), lambda: q_pair_power(q, 1, 1, 3.0)):
             with pytest.raises(TypeError):
                 call()
@@ -245,6 +252,13 @@ class TestScalarMemo:
         assert after.misses - before.misses <= 4
         q_binomial(q, 3, 1)  # read before the deep call, still held
         assert scalar_memo.cache_info().hits == after.hits + 1
+
+    def test_a_binomial_row_is_one_entry(self):
+        q = QParam(F(19, 31))
+        before = scalar_memo.cache_info()
+        row = q_binomial_row(q, 30)
+        assert scalar_memo.cache_info().misses - before.misses == 1 and len(row) == 31
+        assert q_binomial_row(q, 30) is row  # read back, not rebuilt
 
     def test_more_q_values_than_the_bound(self):
         bound = scalar_memo.cache_info().maxsize
@@ -280,5 +294,6 @@ def test_memoized_scalars_match_uncached_oracles(value):
     for _ in range(2):  # the first pass may fill the memo, the second reads it
         for n, row in enumerate(_pascal_rows(value, n_max)):
             assert [q_binomial(q, n, k) for k in range(n + 1)] == row
+            assert list(q_binomial_row(q, n)) == row
             product = math.prod(((1 - value ** j) / (1 - value) for j in range(1, n + 1)), start=F(1))
             assert q_factorial(q, n) == product
