@@ -108,6 +108,9 @@ class IdentityReport:
         return (self.identity_id, self.params)
 
 
+_MISSING = object()  # no stored value is this object
+
+
 class TableCache:
     """The one store of a run: each polynomial table, as deep as the run
     reads, and each value of a named sequence, built once."""
@@ -118,13 +121,15 @@ class TableCache:
         self._store: dict[tuple, object] = {}
 
     def once(self, key: tuple, build: Callable[[], object]):
-        """The value stored under ``key``, built by ``build()`` on first use."""
-        if key in self._store:
-            self.hits += 1
-        else:
+        """The value stored under ``key``, built by ``build()`` on first use;
+        one ``dict.get`` reads it, so a read hashes its key once."""
+        value = self._store.get(key, _MISSING)
+        if value is _MISSING:
             self.misses += 1
-            self._store[key] = build()
-        return self._store[key]
+            value = self._store[key] = build()
+        else:
+            self.hits += 1
+        return value
 
     def get(self, kind: str, q: QParam | None, alpha: int) -> PolyTable:
         return self.once((kind, q, alpha),
@@ -328,9 +333,9 @@ def _stirling_rhs(c: Point) -> Poly2:
     n, m = c.n, Fraction(c.m)
     inner = c.seq("stirling-inner", lambda j: qconv(
         c.q, n, c.T.x0, lambda i: q_stirling2(None, i, j)), "kind", "alpha", "n")
-    return Poly2.linear_combination(
-        (m ** (j - n), inner(j), Poly2({(r, 0): math.perm(r, j) for r in range(j, n + 2)}))
-        for j in range(n + 1))
+    row = c.seq("falling-row", lambda j: Poly2({(r, 0): math.perm(r, j)
+                                                for r in range(j, n + 2)}), "n")
+    return Poly2.linear_combination((m ** (j - n), inner(j), row(j)) for j in range(n + 1))
 
 
 # -- identity definitions and suites ---------------------------------

@@ -13,9 +13,10 @@ valuation at one prime of ``base`` and one gcd with the rest of the
 denominator: a deep q-table's denominator is mostly a power of q's.
 
 Sums, differences, products and linear combinations are one integer
-accumulation, ``_combine``: its (scalar, polynomial, polynomial) triples
-are brought to the lcm of their denominators once, each term pair adds
-one integer product to its key, and one content gcd reduces the result.
+accumulation, ``_combine``, over the callers' (scalar, polynomial or
+scalar, polynomial or scalar) triples: they are brought to the lcm of
+their denominators (none for one triple), each term pair adds one
+integer product to its key, and one content gcd reduces the result.
 A scalar product cancels the scalar against the denominator and the
 numerators' content before it multiplies, so it needs no gcd over the
 result, and a difference of equal polynomials is zero with no
@@ -23,8 +24,9 @@ accumulation.  Substitution, rescaling, the Jackson derivative and
 ``samples`` (the partial evaluations at v = r h as the coefficients of
 v^r) are one termwise map, ``_termwise``, whose weights depend only on
 a term's degree in one variable; evaluation is two substitutions, and
-``swap`` exchanges x and y by permuting the keys.  A scalar is an ``int`` or a
-``Fraction`` (``qcore._rational``); anything else is a ``TypeError``.
+``swap`` exchanges x and y by permuting the keys.  A scalar is an ``int``
+or a ``Fraction``; any other type goes through ``qcore._rational``, which
+takes a ``bool`` and makes anything else a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .qcore import QParam, _rational, q_binomial, q_number, gauss_exponent
 
 Key = tuple[int, int]
 Scalar = Union[Fraction, int]
+_EXACT = {int, Fraction}  # the scalar types read as they are, with no _rational
 T = TypeVar("T")
 
 VARS = ("x", "y")
@@ -60,13 +63,16 @@ class Poly2:
         items = terms.items() if isinstance(terms, Mapping) else terms
         parts = list(_checked(items))
         den = lcm(*(d for _, _, d in parts))
-        self._num, self._den = _collect(((k, n * (den // d)) for k, n, d in parts), den)
+        acc: dict[Key, int] = {}
+        for k, n, d in parts:
+            acc[k] = acc.get(k, 0) + n * (den // d)
+        self._num, self._den = _reduced(acc, den)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly2":
-        return cls()
+        return _raw({}, 1)
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly2":
@@ -149,7 +155,7 @@ class Poly2:
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other: "Poly2 | Scalar") -> "Poly2":
-        return _combine([(1, 1, self, None), (1, 1, _coerce(other), None)])
+        return _combine([(1, self, 1), (1, other, 1)])
 
     __radd__ = __add__
 
@@ -161,7 +167,7 @@ class Poly2:
         # most identity residuals have equal sides: one comparison, no accumulation
         if self == other:
             return Poly2.zero()
-        return _combine([(1, 1, self, None), (-1, 1, other, None)])
+        return _combine([(1, self, 1), (-1, other, 1)])
 
     def __rsub__(self, other: Scalar) -> "Poly2":
         return _coerce(other) - self
@@ -179,7 +185,7 @@ class Poly2:
             if g2 != 1:
                 num = [(k, n // g2) for k, n in num]
             return _raw({k: n * cn for k, n in num}, self._den // g1 * (cd // g2))
-        return _combine([(1, 1, self, _coerce(other))])
+        return _combine([(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -189,7 +195,7 @@ class Poly2:
     ) -> "Poly2":
         """The sum of c * p * r over (c, p, r) triples, accumulated in one
         term dict; p and r may each be a polynomial or a scalar."""
-        return _combine(_triples(terms))
+        return _combine(terms)
 
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
@@ -260,16 +266,21 @@ class Poly2:
         """Each term c * v^d becomes the sum of w * c * v^e over the (e, w's
         numerator, w's denominator) of step(d), called once per degree d; a
         zero w adds nothing.  The weights are brought to the lcm of their
-        denominators once per degree."""
+        denominators once per degree, and the loop adds into its own dict,
+        as ``_combine``'s does."""
         i = _var_index(var)
         steps = {d: step(d) for d in {k[i] for k in self._num}}
         den = lcm(*(wd for s in steps.values() for _, wn, wd in s if wn))
         steps = {d: [(e, wn * (den // wd)) for e, wn, wd in s if wn] for d, s in steps.items()}
-        # the key is built inline: a helper call per term made substitution ~4% slower
-        return _raw(*_collect((
-            ((e, k[1]) if i == 0 else (k[0], e), n * w)
-            for k, n in self._num.items() for e, w in steps[k[i]]
-        ), self._den * den))
+        acc: dict[Key, int] = {}
+        get = acc.get
+        for k, n in self._num.items():
+            for e, w in steps[k[i]]:
+                # the key is built inline: a helper call per term made substitution ~4% slower
+                t = (e, k[1]) if i == 0 else (k[0], e)
+                a = get(t)
+                acc[t] = n * w if a is None else a + n * w
+        return _raw(*_reduced(acc, self._den * den))
 
 
 def _strip(x: int, pw: Callable[[int], int], cap: int) -> tuple[int, int]:
@@ -342,18 +353,6 @@ def _raw(num: dict[Key, int], den: int) -> Poly2:
     return p
 
 
-def _collect(contributions: Iterable[tuple[Key, int]], den: int) -> tuple[dict[Key, int], int]:
-    """The canonical numerators and denominator of a sum of (key, numerator)
-    contributions over the one positive denominator ``den``: the
-    constructor's terms and the termwise map's moved terms."""
-    acc: dict[Key, int] = {}
-    get = acc.get
-    for k, n in contributions:
-        e = get(k)
-        acc[k] = n if e is None else e + n
-    return _reduced(acc, den)
-
-
 def _reduced(acc: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
     """Summed numerators over ``den`` in canonical form: zeros dropped and
     the content gcd divided out, so zero is ``{}`` over 1."""
@@ -365,17 +364,28 @@ def _reduced(acc: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
     return {k: n // g for k, n in num.items()}, den // g
 
 
-def _combine(triples: Iterable[tuple[int, int, Poly2, Poly2 | None]]) -> Poly2:
-    """The sum of cn/cd * p * r over (cn, cd, p, r), with r = None for 1.
-
-    Every triple is brought to the lcm of the triples' denominators
-    cd * p._den * r._den, once, and each of its term pairs adds one integer
-    product to one term dict.  The loops add into the dict themselves:
-    feeding the pairs to ``_collect`` through a generator made a
-    default-grid verify run ~9% slower.
-    """
-    parts = [(cn, cd * p._den * (r._den if r else 1), p, r) for cn, cd, p, r in triples]
-    den = lcm(*(d for _, d, _, _ in parts))
+def _combine(triples: Iterable[tuple[Scalar, "Poly2 | Scalar", "Poly2 | Scalar"]]) -> Poly2:
+    """The sum of c * p * r over the callers' (c, p, r) triples, p and r
+    each a polynomial or a scalar.  A scalar of exact type ``int`` or
+    ``Fraction`` is read by ``as_integer_ratio()``, any other through
+    ``_rational``.  Every triple is brought to the lcm of the triples'
+    denominators (with one triple there is no lcm), and each of its term
+    pairs adds one integer product to one term dict.  The loops add into
+    the dict themselves: feeding the pairs to a collecting function
+    through a generator made a default-grid verify run ~9% slower."""
+    parts = []
+    for c, p, r in triples:
+        cn, cd = (c if type(c) in _EXACT else _rational(c)).as_integer_ratio()
+        if not isinstance(p, Poly2):
+            p, r = r, p
+        if not isinstance(r, Poly2):
+            rn, rd = (r if type(r) in _EXACT else _rational(r)).as_integer_ratio()
+            cn, cd, r = cn * rn, cd * rd, None
+            if not isinstance(p, Poly2):
+                p = Poly2.const(p)
+        if cn:
+            parts.append((cn, cd * p._den * (r._den if r else 1), p, r))
+    den = parts[0][1] if len(parts) == 1 else lcm(*(d for _, d, _, _ in parts))
     acc: dict[Key, int] = {}
     get = acc.get
     for cn, d, p, r in parts:
@@ -393,23 +403,6 @@ def _combine(triples: Iterable[tuple[int, int, Poly2, Poly2 | None]]) -> Poly2:
                 e = get(k)
                 acc[k] = a * bn if e is None else e + a * bn
     return _raw(*_reduced(acc, den))
-
-
-def _triples(
-    terms: Iterable[tuple[Scalar, "Poly2 | Scalar", "Poly2 | Scalar"]]
-) -> Iterator[tuple[int, int, Poly2, Poly2 | None]]:
-    """Caller (c, p, r) triples as (cn, cd, p, r) with p a polynomial and r a
-    polynomial or None; every scalar enters through ``_rational``."""
-    for c, p, r in terms:
-        cn, cd = _rational(c).as_integer_ratio()
-        if not isinstance(p, Poly2):
-            p, r = r, p
-        if not isinstance(r, Poly2):
-            rn, rd = _rational(r).as_integer_ratio()
-            cn, cd, r = cn * rn, cd * rd, None
-        p = _coerce(p)
-        if cn:
-            yield cn, cd, p, r
 
 
 def _key(dx: int, dy: int) -> Key:

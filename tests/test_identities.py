@@ -166,7 +166,7 @@ def test_each_recurrence_power_is_computed_once_per_run(monkeypatch):
 
 
 SEQUENCES = {"q_bernoulli", "q_euler", "pair", "pair_ym1", "P",
-             "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)", "B1.y0(mx)", "ysum", "xsum"}
+             "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)", "B1.y0(mx)", "ysum", "xsum", "falling-row"}
 BRACKETS = {"sp1-1", "sp1-2", "sp2-1", "sp2-2", "c1-1", "c1-2", "euler-c1"}
 
 
@@ -293,6 +293,24 @@ def test_stirling_inner_sums_are_built_once_for_every_m(monkeypatch):
         return len(built)
 
     assert builds((1, 2, 3)) == builds((1,)) > 0
+
+
+def test_each_falling_factorial_row_is_stored_once_per_q_n_and_j(monkeypatch):
+    # the right side's rows sum_r r!/(r-j)! x^r depend on n and j only, so a
+    # larger m_set reads the same rows and stores none
+    stores = []
+    real = identities.TableCache
+    monkeypatch.setattr(identities, "TableCache",
+                        lambda max_n: stores.append(real(max_n)) or stores[-1])
+
+    def rows(m_set):
+        run_suite("stirling-theorem", Grid(4, (1, 2), m_set, SMALL.q_set))
+        return [k[1:] for k in stores[-1]._store if k[0] == "falling-row"]
+
+    expected = {(q, n, j) for q in SMALL.q_set for n in range(5) for j in range(n + 1)}
+    one, three = rows((1,)), rows((1, 2, 3))
+    assert len(one) == len(three) == len(expected)
+    assert set(one) == set(three) == expected
 
 
 # q = a/b with |a|, b <= 20, on both sides of (0, 1), never a root of unity

@@ -1,5 +1,6 @@
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -68,6 +69,7 @@ class TestEvaluation:
 
     def test_zero_poly(self):
         assert Poly2.zero().evaluate(11, -4) == 0
+        assert (Poly2.zero()._num, Poly2.zero()._den) == ({}, 1)
 
 
 class TestSubstitution:
@@ -100,6 +102,9 @@ class TestSubstitution:
     "q_number(Q2, F(1, 2))", "gauss_exponent(Q2, 2.5)",
     "Poly2.linear_combination([(0.5, X, Y)])", "Poly2.linear_combination([(1, 0.5, Y)])",
     "Poly2.linear_combination([(1, X, 0.5)])",
+    # a bad scalar beside a good one, in each slot, and types no int converts to
+    "Poly2.linear_combination([(1, 0.5, 2)])", "Poly2.linear_combination([(1, 2, 0.5)])",
+    "Poly2.linear_combination([(None, X, 1)])", "Poly2.linear_combination([(Decimal(1), X, 1)])",
     "Poly2.monomial(1.5, 0)", "Poly2({(1.5, 0): 1})", "Poly2.monomial(2.0, 0)",
     "Poly2({(0, 2.0): 1})",
 ])
@@ -230,8 +235,12 @@ def test_equal_operands_subtract_to_zero_without_accumulating(monkeypatch):
     assert len(calls) == 3
 
 
-@given(terms=st.lists(st.tuples(small_fractions, polys() | small_fractions,
-                                polys() | small_fractions), max_size=6))
+# plain ints and bools are read by another path than Fractions
+small_scalars = small_fractions | st.integers(-4, 4) | st.booleans()
+
+
+@given(terms=st.lists(st.tuples(small_scalars, polys() | small_scalars,
+                                polys() | small_scalars), max_size=6))
 def test_linear_combination_matches_repeated_addition(terms):
     expected = Poly2.zero()
     for c, p, r in terms:
