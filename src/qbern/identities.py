@@ -9,18 +9,17 @@ Vocabulary: ``qconv(q, n, a, b, w)`` = sum_k [n k]_q w(k) a(k) b(n - k),
 the convolution most formulas are built from; a table ``T`` has rows
 ``T[n]``, projected rows ``T.x0``, ``T.y0``, ``T.ym1`` (x = 0, y = 0,
 y = -1) and numbers ``T.num``; a named sequence ``c.seq(name, f, *axes)``
-is f keyed on q and the point's values of ``axes``.  The weighted sums
+is f keyed on the point's ``axes``, all that f reads.  The weighted sums
 ``c.ysum(k, "B.ym1")`` = sum_j [k j] m^j B.ym1[j] and ``c.xsum(k, "Em.x0")``
-= sum_j [k j] P(k - j) Em.x0[j] name what they sum, and are store reads
-keyed on q, m, that name (a table's kind and order and the projection, so
-``Bm`` at alpha is ``B`` at alpha - 1) and k; a sum of a difference is
-written as the difference of two sums.  One store builds each table,
-sequence value and weighted sum, pair and recurrence powers included,
-once per run.  Every ``c.B`` is a read of that store, so a formula that
-reads a table at each index binds it once, as a local or as a lambda
-default (``lambda j, B=c.B: ...``).  ``q = None`` is the classical limit (see
-``qcore``), so a classical q -> 1 instance of a q-identity is that
-definition at q = None.
+= sum_j [k j] P(k - j) Em.x0[j] are store reads keyed on q, m, what they
+sum (the kind and order of the table's spec and the projection, so ``Bm``
+at alpha is ``B`` at alpha - 1) and k; a sum of a difference is written as
+the difference of two sums.  One store builds each table, sequence value
+and weighted sum, pair and recurrence powers included, once per run.  Every
+``c.B`` is a store read, so a formula that reads a table at each index
+binds it once, as a local or as a lambda default (``lambda j, B=c.B: ...``).
+``q = None`` is the classical limit (see ``qcore``), so a classical q -> 1
+instance of a q-identity is that definition at q = None.
 
 A few printed formulas in the source material carry typos.  Corrections
 are data, not silent edits: every corrected identity carries a
@@ -169,17 +168,6 @@ def qconv(q: QParam | None, n: int, a, b, w: Callable = _one) -> Poly2:
     )
 
 
-class _Table:
-    """A table attribute of ``Point``: on a point c it is the run's table of
-    (kind, order) = ``at(c)``, and on the class it is itself."""
-
-    def __init__(self, at: Callable[["Point"], tuple[str, int]]):
-        self.at = at
-
-    def __get__(self, c: "Point | None", owner: type):
-        return self if c is None else c.table(*self.at(c))
-
-
 class Point:
     """One parameter tuple of an identity and the tables its formulas read.
 
@@ -201,18 +189,18 @@ class Point:
         return self.cache.get(kind, self.q, alpha)
 
     def seq(self, name: str, f: Callable[[int], Poly2], *axes: str) -> Callable[[int], Poly2]:
-        """f as a sequence kept in the run's store under (name, q, the point's
+        """f as a sequence kept in the run's store under (name, the point's
         values of ``axes``, index): f must read no other parameter."""
-        key = (name, self.q, *(getattr(self, a) for a in axes))
+        key = (name, *(getattr(self, a) for a in axes))
         return lambda i: self.cache.once((*key, i), lambda: f(i))
 
-    B = _Table(lambda c: (BERN, c.alpha))
-    E = _Table(lambda c: (EUL, c.alpha))
-    Bm = _Table(lambda c: (BERN, c.alpha - 1))
-    Em = _Table(lambda c: (EUL, c.alpha - 1))
-    B1 = _Table(lambda c: (BERN, 1))
-    E1 = _Table(lambda c: (EUL, 1))
-    T = _Table(lambda c: (KINDS[c.kind], c.alpha))
+    B = property(lambda c: c.table(BERN, c.alpha))
+    E = property(lambda c: c.table(EUL, c.alpha))
+    Bm = property(lambda c: c.table(BERN, c.alpha - 1))
+    Em = property(lambda c: c.table(EUL, c.alpha - 1))
+    B1 = property(lambda c: c.table(BERN, 1))
+    E1 = property(lambda c: c.table(EUL, 1))
+    T = property(lambda c: c.table(KINDS[c.kind], c.alpha))
 
     def ey(self, j: int) -> Poly2:
         """q^{j(j-1)/2} y^j: the order-zero polynomial at x = 0."""
@@ -221,17 +209,17 @@ class Point:
     @property
     def pair(self) -> Callable[[int], Poly2]:
         """The q-analogue of (x + y)^j: the order-zero polynomial."""
-        return self.seq("pair", lambda j: symbolic_pair_power(self.q, j))
+        return self.seq("pair", lambda j: symbolic_pair_power(self.q, j), "q")
 
     @property
     def pair_ym1(self) -> Callable[[int], Poly2]:
-        return self.seq("pair_ym1", lambda j: self.pair(j).substitute("y", -1))
+        return self.seq("pair_ym1", lambda j: self.pair(j).substitute("y", -1), "q")
 
     @property
     def P(self) -> Callable[[int], Fraction]:
         """The scalar (1/m + (-1))-pair powers of the recurrences, kept in the
         run's store under q and the integer m: a read builds and hashes no Fraction."""
-        return self.seq("P", lambda p: q_pair_power(self.q, Fraction(1, self.m), -1, p), "m")
+        return self.seq("P", lambda p: q_pair_power(self.q, Fraction(1, self.m), -1, p), "q", "m")
 
     def ysum(self, k: int, s: str) -> Poly2:
         """sum_j [k j] m^j s(j), for the sequence named ``s`` (see ``_sum``)."""
@@ -244,12 +232,13 @@ class Point:
     def _sum(self, name: str, k: int, s: str, b, w) -> Poly2:
         """qconv(q, k, s, b, w), kept in the run's store under ``name``, q, m,
         what it sums and k.  ``s`` names a projection of one of the point's
-        tables ("B.ym1", "Em.x0"), which the store knows by the table's kind
-        and order, or a sequence of the point that reads only q ("pair_ym1", "ey")."""
-        table, _, proj = s.partition(".")
-        what = (*getattr(Point, table).at(self), proj) if proj else (s,)
+        tables ("B.ym1", "Em.x0"), known by its table's spec, or a sequence of
+        the point that reads only q ("pair_ym1", "ey")."""
+        attr, _, proj = s.partition(".")
+        src = getattr(self, attr)
+        what = (src.spec.kind, src.spec.order_alpha, proj) if proj else (s,)
         return self.cache.once((name, self.q, self.m, *what, k), lambda: qconv(
-            self.q, k, getattr(getattr(self, table), proj) if proj else getattr(self, s), b, w))
+            self.q, k, getattr(src, proj) if proj else src, b, w))
 
     def down(self, s) -> Poly2:
         """[n] s(n - 1), zero at n = 0."""
@@ -266,8 +255,8 @@ def _sp1_y(c: Point, lower: str) -> Poly2:
     def bracket(k):
         return m ** k * B.y0[k] + c.ysum(k, "B.ym1") + m * q_number(c.q, k) * c.ysum(k - 1, lower)
 
-    rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
-                c.seq("E1.x0(my)", lambda i: E1.x0[i].scale_var("y", m), "m"))
+    rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "q", "alpha", "m"),
+                c.seq("E1.x0(my)", lambda i: E1.x0[i].scale_var("y", m), "q", "m"))
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
@@ -278,8 +267,9 @@ def _sp1_x(c: Point, lower: str) -> Poly2:
     def bracket(k):
         return B.x0[k] + c.xsum(k, "B.x0") + q_number(c.q, k) * c.xsum(k - 1, lower)
 
-    rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
-                c.seq("E1.y0(mx)", lambda i: E1.y0[i].scale_var("x", m), "m"), lambda k: m ** k)
+    rhs = qconv(c.q, c.n, c.seq(c.rid, bracket, "q", "alpha", "m"),
+                c.seq("E1.y0(mx)", lambda i: E1.y0[i].scale_var("x", m), "q", "m"),
+                lambda k: m ** k)
     return rhs * Fraction(1, 2 * m ** c.n)
 
 
@@ -290,8 +280,8 @@ def _sp2_y(c: Point, lower: str) -> Poly2:
     def bracket(k):  # the sum of 2 lower - E.ym1, by linearity
         return 2 * c.ysum(k + 1, lower) - c.ysum(k + 1, "E.ym1") - m ** (k + 1) * E.y0[k + 1]
 
-    return qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
-                 c.seq("B1.x0(my)", lambda i: B1.x0[i].scale_var("y", m), "m"),
+    return qconv(c.q, c.n, c.seq(c.rid, bracket, "q", "alpha", "m"),
+                 c.seq("B1.x0(my)", lambda i: B1.x0[i].scale_var("y", m), "q", "m"),
                  lambda k: 1 / (Fraction(m) ** c.n * q_number(c.q, k + 1)))
 
 
@@ -301,8 +291,8 @@ def _sp2_x(c: Point) -> Poly2:
     def bracket(k):  # the sum of 2 Em.x0 - E.x0, by linearity
         return 2 * c.xsum(k + 1, "Em.x0") - c.xsum(k + 1, "E.x0") - E.x0[k + 1]
 
-    return qconv(c.q, c.n, c.seq(c.rid, bracket, "alpha", "m"),
-                 c.seq("B1.y0(mx)", lambda i: B1.y0[i].scale_var("x", m), "m"),
+    return qconv(c.q, c.n, c.seq(c.rid, bracket, "q", "alpha", "m"),
+                 c.seq("B1.y0(mx)", lambda i: B1.y0[i].scale_var("x", m), "q", "m"),
                  lambda k: m ** (k - c.n + 1) / q_number(c.q, k + 1))
 
 
@@ -332,7 +322,7 @@ def _stirling_rhs(c: Point) -> Poly2:
     """sum_r x^r sum_j r!/(r-j)! m^{j-n} sum_k [n k] S(n-k, j) T_k(0, y)."""
     n, m = c.n, Fraction(c.m)
     inner = c.seq("stirling-inner", lambda j: qconv(
-        c.q, n, c.T.x0, lambda i: q_stirling2(None, i, j)), "kind", "alpha", "n")
+        c.q, n, c.T.x0, lambda i: q_stirling2(None, i, j)), "q", "kind", "alpha", "n")
     row = c.seq("falling-row", lambda j: Poly2({(r, 0): math.perm(r, j)
                                                 for r in range(j, n + 2)}), "n")
     return Poly2.linear_combination((m ** (j - n), inner(j), row(j)) for j in range(n + 1))
@@ -505,7 +495,7 @@ check_bernstein = _suite(
      lambda c: _x(c.k) * qconv(
          c.q, c.n, _one,
          c.seq("bb1-row", lambda i: c.table(BERN, c.k)[i].substitute("x", 1)
-               .scale_var("y", -1).swap(), "k"),
+               .scale_var("y", -1).swap(), "q", "k"),
          lambda i: q_stirling2(c.q, i, c.k))),
 )
 check_alpha_zero = _suite(

@@ -41,13 +41,14 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class PolyTable:
-    """Polynomials of one family, indexed from 0.
+    """The polynomials of the family ``spec``, indexed from 0.
 
     ``x0``, ``y0`` and ``ym1`` are the rows projected to x = 0, y = 0 and
     y = -1, and ``num`` the numbers at x = y = 0; each is computed on
     first use and kept with the table.
     """
 
+    spec: FamilySpec
     entries: tuple[Poly2, ...]
 
     def __getitem__(self, n: int) -> Poly2:
@@ -81,7 +82,7 @@ def family_table(spec: FamilySpec, max_n: int) -> PolyTable:
     q = spec.q
     kern = _kernel(spec.kind, q, spec.order_alpha, max_n)
     s = kern * eq_series(q, X, max_n) * Eq_series(q, Y, max_n)
-    return PolyTable(tuple(s.egf_coefficient(n, q) for n in range(max_n + 1)))
+    return PolyTable(spec, tuple(s.egf_coefficient(n, q) for n in range(max_n + 1)))
 
 
 def q_bernoulli_table(q: QParam, alpha: int, max_n: int) -> PolyTable:

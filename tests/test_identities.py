@@ -12,6 +12,7 @@ from qbern.identities import (
 )
 from qbern.poly import Poly2
 from qbern.qcore import QParam
+from qbern.qspecial import FamilySpec, PolyTable
 
 SMALL = Grid(
     n_max=5,
@@ -239,18 +240,24 @@ def test_each_weighted_sum_is_built_once_per_run(monkeypatch):
 
 
 def test_one_table_cache_per_run(monkeypatch):
-    built = []
-    real = identities.family_table
+    built, stores = [], []
+    real, real_store = identities.family_table, identities.TableCache
 
     def counting(spec, max_n):
         built.append((spec, max_n))
         return real(spec, max_n)
 
     monkeypatch.setattr(identities, "family_table", counting)
+    monkeypatch.setattr(identities, "TableCache",
+                        lambda max_n: stores.append(real_store(max_n)) or stores[-1])
     grid = Grid(n_max=3, alpha_set=(1, 2), m_set=(1, 2), q_set=(QParam(F(1, 2)),))
     run_suite("all", grid)
     assert built and len(built) == len(set(built))  # every table built once
     assert {n for _, n in built} == {10}  # as deep as alpha-zero reads
+    # each stored table carries the spec of its store key (kind, q, alpha)
+    tables = {k: v for k, v in stores[-1]._store.items() if isinstance(v, PolyTable)}
+    assert len(tables) == len(built)
+    assert all(t.spec == FamilySpec(kind, alpha, q) for (kind, q, alpha), t in tables.items())
     for suite, depth in (("lemma1", 3), ("lemma4", 3), ("sp2", 4)):
         built.clear()
         run_suite(suite, grid)
@@ -259,17 +266,24 @@ def test_one_table_cache_per_run(monkeypatch):
 
 @pytest.mark.parametrize("suite, axis", [
     ("sp1", "m"), ("sp2", "m"), ("corollaries", "m"), ("sp1", "alpha"), ("sp2", "alpha"),
+    ("sp1", "q"), ("sp2", "q"), ("corollaries", "q"), ("stirling-theorem", "q"),
+    ("bernstein", "q"),
 ])
 def test_no_sequence_is_shared_across_m_or_alpha(suite, axis):
     # the run's store keys every sequence on the axis values it reads, so
-    # the value-2 reports do not depend on which other values ran before
-    def reports_at_2(values):
-        sets = {"alpha_set": (1, 2), "m_set": (1, 2), f"{axis}_set": values}
-        grid = Grid(n_max=4, q_set=(QParam(F(1, 2)), QParam(F(-7, 3))), **sets)
-        return [r for r in run_suite(suite, grid) if dict(r.params).get(axis) == "2"]
+    # the reports at the last value do not depend on which values ran before
+    # it; a sequence that reads q but does not name it reads the first q's values
+    wrap = (lambda v: QParam(F(v))) if axis == "q" else int
+    first, last = ("1/2", "-7/3") if axis == "q" else (1, 2)
 
-    alone = reports_at_2((2,))
-    assert alone and reports_at_2((1, 2)) == alone
+    def reports_at_last(values):
+        sets = {"alpha_set": (1, 2), "m_set": (1, 2), "q_set": (QParam(F(1, 2)), QParam(F(-7, 3))),
+                f"{axis}_set": tuple(map(wrap, values))}
+        return [r for r in run_suite(suite, Grid(n_max=4, **sets))
+                if dict(r.params).get(axis) == str(wrap(last))]
+
+    alone = reports_at_last((last,))
+    assert alone and reports_at_last((first, last)) == alone
 
 
 def test_each_scaled_row_is_built_once(monkeypatch):
@@ -295,22 +309,23 @@ def test_stirling_inner_sums_are_built_once_for_every_m(monkeypatch):
     assert builds((1, 2, 3)) == builds((1,)) > 0
 
 
-def test_each_falling_factorial_row_is_stored_once_per_q_n_and_j(monkeypatch):
+def test_each_falling_factorial_row_is_stored_once_per_n_and_j(monkeypatch):
     # the right side's rows sum_r r!/(r-j)! x^r depend on n and j only, so a
-    # larger m_set reads the same rows and stores none
+    # second q or a larger m_set reads the same rows and stores none
     stores = []
     real = identities.TableCache
     monkeypatch.setattr(identities, "TableCache",
                         lambda max_n: stores.append(real(max_n)) or stores[-1])
 
-    def rows(m_set):
-        run_suite("stirling-theorem", Grid(4, (1, 2), m_set, SMALL.q_set))
+    def rows(m_set, q_set):
+        run_suite("stirling-theorem", Grid(4, (1, 2), m_set, q_set))
         return [k[1:] for k in stores[-1]._store if k[0] == "falling-row"]
 
-    expected = {(q, n, j) for q in SMALL.q_set for n in range(5) for j in range(n + 1)}
-    one, three = rows((1,)), rows((1, 2, 3))
-    assert len(one) == len(three) == len(expected)
-    assert set(one) == set(three) == expected
+    expected = {(n, j) for n in range(5) for j in range(n + 1)}
+    for m_set in ((1,), (1, 2, 3)):
+        for q_set in (SMALL.q_set[:1], SMALL.q_set):
+            keys = rows(m_set, q_set)
+            assert len(keys) == len(expected) and set(keys) == expected, (m_set, q_set)
 
 
 # q = a/b with |a|, b <= 20, on both sides of (0, 1), never a root of unity
