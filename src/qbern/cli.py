@@ -12,9 +12,10 @@ given.  A command's payload carries its polynomials as ``Poly2`` values;
 each writer formats one where it writes it, from its integers
 (``Poly2.term_ratios``).  Output is streamed: the writer puts each chunk
 into --out, or stdout, as it formats it, so no output-sized string is
-ever held.  If formatting or writing fails, an --out that is a regular
-file is removed (a symlink or device is left alone), and what was already
-written to stdout stays there; the exit code is that of the error.
+ever held.  --out is opened before the command computes; if computing,
+formatting or writing fails, an --out that is a regular file is removed (a
+symlink or device is left alone), and what was already written to stdout
+stays there; the exit code is that of the error.
 
 Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
 3 domain errors (e.g. q = 1, or a value too large for its decimal
@@ -380,15 +381,8 @@ def _json(doc: dict | list, put, base: int = 1) -> None:
 WRITERS = {"json": _json, "csv": _table_csv, "latex": _table_latex}
 
 
-def _emit(argv: list[str], args, payload: dict) -> None:
-    """Stream the output into --out, or stdout, as it is formatted: a table
-    in its --format, or else the payload as JSON under a meta block unless
-    --no-meta.
-
-    If formatting or writing raises, an --out that is a regular file is
-    removed (a symlink or device is left alone) and the error goes on;
-    what was already written to stdout stays there.
-    """
+def _emit(argv: list[str], args, payload: dict, put) -> None:
+    """Put the table in its --format, or JSON under a meta block unless --no-meta, into ``put``."""
     fmt = getattr(args, "format", "json")
     base = Fraction(payload["q"]).denominator if "q" in payload else 1  # for term_ratios
     doc = payload
@@ -403,9 +397,17 @@ def _emit(argv: list[str], args, payload: dict) -> None:
             },
             "payload": payload,
         }
-    if not args.out:
+    WRITERS[fmt](doc, put, base)
+
+
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The ``put`` of --out, opened before the command computes, or of stdout.  If
+    the command or its writer raises, an --out that is a regular file is removed (a
+    symlink or device is left alone); what already went to stdout stays there."""
+    if not out:
         try:
-            WRITERS[fmt](doc, sys.stdout.write, base)
+            yield sys.stdout.write
             sys.stdout.flush()
         except BrokenPipeError:
             # as the signal module's "Note on SIGPIPE" says: stdout's descriptor
@@ -414,18 +416,18 @@ def _emit(argv: list[str], args, payload: dict) -> None:
             raise
         return
     try:
-        fh = open(args.out, "w")
+        fh = open(out, "w")
     except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
+        raise CliError(f"cannot write {out}: {exc.strerror}") from None
     try:
         with fh:
-            WRITERS[fmt](doc, fh.write, base)
+            yield fh.write
     except BaseException as exc:
         with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(args.out).st_mode):
-                os.remove(args.out)
+            if stat.S_ISREG(os.lstat(out).st_mode):
+                os.remove(out)
         if isinstance(exc, OSError):
-            raise CliError(f"cannot write {args.out}: {exc.strerror}") from None
+            raise CliError(f"cannot write {out}: {exc.strerror}") from None
         raise
 
 
@@ -459,8 +461,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_glue_negative_values(argv))
-        payload = COMMANDS[args.command](args)
-        _emit(argv, args, payload)
+        with _output(args.out) as put:
+            payload = COMMANDS[args.command](args)
+            _emit(argv, args, payload, put)
     except SystemExit as exc:  # from argparse: --help, or an argument error
         return 2 if exc.code not in (0, None) else 0
     except (Exception, KeyboardInterrupt) as exc:

@@ -7,9 +7,9 @@ Each takes q = None for its classical (q -> 1) flavour.
 Tables are built once from their generating functions, and triangular
 recurrences for their number sequences are the test oracles; the numbers
 themselves are read from the one-variable kernel series, since e(0) =
-E(0) = 1.  q-Stirling numbers are computed by their recurrence, one build
-of the triangle serving every row a table reads, and the series is their
-oracle.  The two paths of each family share no series code.
+E(0) = 1.  q-Stirling numbers are computed by their recurrence in integers,
+one build of the triangle serving every row a table reads, and the series is
+their oracle.  The two paths of each family share no series code.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterator, Literal
 
 from .poly import Poly2, X, Y
-from .qcore import QParam, gauss_exponent, q_binomial, q_factorial, q_number, scalar_memo
+from .qcore import QParam, _q_numerator, gauss_exponent, q_binomial, q_factorial, scalar_memo
 from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
@@ -156,9 +156,9 @@ def _stirling2_row(q: QParam | None, m: int) -> tuple[Fraction, ...]:
 
 def q_stirling2_rows(q: QParam | None, max_n: int) -> Iterator[tuple[Fraction | int, ...]]:
     """Rows 0..max_n of the triangle, S(i, 0..i), each built once from the rows
-    before it: at q = None in integers by S(i, k) = k S(i-1, k) + S(i-1, k-1),
-    otherwise by S(i, k) = (1/[k]) sum_{j<i} [i j] S(j, k-1), from
-    (e(t) - 1)^k = (e(t) - 1)^{k-1} (e(t) - 1)."""
+    before it in integers: at q = None by S(i, k) = k S(i-1, k) + S(i-1, k-1), else
+    by S(i, k) = (1/[k]) sum_{j<i} [i j] S(j, k-1), from (e(t) - 1)^k = (e(t) - 1)^{k-1}
+    (e(t) - 1), over powers of q's denominator, with one Fraction per value yielded."""
     if q is None:
         row = (1,)
         yield row
@@ -166,15 +166,19 @@ def q_stirling2_rows(q: QParam | None, max_n: int) -> Iterator[tuple[Fraction | 
             row = (0, *(k * row[k] + row[k - 1] for k in range(1, i)), 1)
             yield row
         return
-    rows, binom = [(Fraction(1),)], (1,)  # rows[i][k] = S(i, k), binom[j] = [i j]
-    yield rows[0]
+    # In integers at q = c/d: H[j] = [i j] d^(j(i-j)), the q-Pascal rule times d^(j(i-j)),
+    # and U[i][k] = [k]! S(i, k) d^(i(i-1)/2), the recurrence times [k]! d^(i(i-1)/2), divide
+    # nothing; S(i, k) = U[i][k] / (N_1...N_k d^(i(i-1)/2 - k(k-1)/2)), an exponent >= 0.
+    c, d = q.value.numerator, q.value.denominator
+    U, H, P = [(1,)], (1,), [1]
+    yield (Fraction(1),)
     for i in range(1, max_n + 1):
-        # the q-Pascal rule, not the memo: a deep row would flood it with [i j]
-        binom = (1, *(binom[j - 1] + q.power(j) * binom[j] for j in range(1, i)), 1)
-        rows.append((Fraction(0),) + tuple(
-            sum(binom[j] * rows[j][k - 1] for j in range(k - 1, i)) / q_number(q, k)
-            for k in range(1, i + 1)))
-        yield rows[i]
+        H = (1, *(d ** (i - j) * H[j - 1] + c ** j * H[j] for j in range(1, i)), 1)
+        w = [H[j] * d ** ((i - j) * (i - j - 1) // 2) for j in range(i)]
+        P.append(P[-1] * _q_numerator(q, i))
+        U.append((0, *(sum(w[j] * U[j][k - 1] for j in range(k - 1, i)) for k in range(1, i + 1))))
+        yield (Fraction(0), *(Fraction(U[i][k], P[k] * d ** ((i * (i - 1) - k * (k - 1)) // 2))
+                              for k in range(1, i + 1)))
 
 
 # -- Bernstein basis ------------------------------------------------

@@ -164,15 +164,17 @@ class TestTable:
         assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
 
     def test_cold_qstirling_table_builds_each_row_once(self, capsys, monkeypatch):
-        # building row i divides each S(i, k), 1 <= k <= i, by [k] once, so these
-        # reads of [k] mean each of the 13 rows was built once (a q no other test uses)
+        # building row i reads the numerator N_i of [i] once, for the product
+        # N_1...N_i its S(i, i) is divided by, so these reads mean each of rows
+        # 1..12 was built once (a q no other test uses)
         reads = []
-        real = qbern.qspecial.q_number
-        monkeypatch.setattr(qbern.qspecial, "q_number", lambda q, k: reads.append(k) or real(q, k))
+        real = qbern.qspecial._q_numerator
+        monkeypatch.setattr(qbern.qspecial, "_q_numerator",
+                            lambda q, i: reads.append(i) or real(q, i))
         code, _, _ = run(capsys, "table", "--family", "qstirling", "--n-max", "12",
                          "--q", "13/23", "--no-meta")
         assert code == 0
-        assert sorted(reads) == sorted(k for i in range(1, 13) for k in range(1, i + 1))
+        assert sorted(reads) == list(range(1, 13))
 
     @pytest.mark.parametrize("family", ["qstirling", "qbernstein", "stirling2"])
     def test_alpha_is_usage_error_where_it_does_not_apply(self, capsys, family):
@@ -269,6 +271,28 @@ class TestTable:
         )
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "stirling2", "--n-max", "2"),
+        ("verify", "--suite", "all", "--n-max", "12"),
+        ("limit", "--family", "qeuler", "--n", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_fails_before_the_command_computes(self, capsys, monkeypatch,
+                                                              tmp_path, argv):
+        calls = []
+        monkeypatch.setitem(qbern.cli.COMMANDS, argv[0], lambda args: calls.append(args))
+        out = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert (code, calls) == (2, [])
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    def test_failed_command_removes_the_out_file_it_opened(self, capsys, tmp_path):
+        target = tmp_path / "f"
+        code, out, err = run(capsys, "table", "--family", "qbernoulli", "--q=-1",
+                             "--n-max", "3", "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: ")
+        assert not target.exists()
 
     def test_unknown_family_rejected_by_argparse(self, capsys):
         code, _, _ = run(
@@ -667,7 +691,8 @@ class TestStreaming:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            qbern.cli._emit([], args, payload)
+            with qbern.cli._output(args.out) as put:
+                qbern.cli._emit([], args, payload, put)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -295,5 +295,6 @@ def test_memoized_scalars_match_uncached_oracles(value):
         for n, row in enumerate(_pascal_rows(value, n_max)):
             assert [q_binomial(q, n, k) for k in range(n + 1)] == row
             assert list(q_binomial_row(q, n)) == row
+            assert q_number(q, n) == (1 - value ** n) / (1 - value)
             product = math.prod(((1 - value ** j) / (1 - value) for j in range(1, n + 1)), start=F(1))
             assert q_factorial(q, n) == product
