@@ -145,7 +145,8 @@ def _table_payload(args) -> dict:
         name, key, cell = "entries", "poly", lambda n, k: q_bernstein(q, n, k)
     else:
         # one build of the triangle serves every row, and the memo keeps none of it
-        name, key, rows = "rows", "value", list(q_stirling2_rows(q, n_max))
+        rows = [tuple(map(Fraction, *row)) for row in q_stirling2_rows(q, n_max)]
+        name, key = "rows", "value"
         cell = lambda n, k: str(rows[n][k])
     payload[name] = [
         {"n": n, "k": k, key: cell(n, k)} for n in range(n_max + 1) for k in range(n + 1)

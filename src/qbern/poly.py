@@ -12,11 +12,12 @@ reduced numerator and denominator as ints, with no ``Fraction``, by its
 valuation at one prime of ``base`` and one gcd with the rest of the
 denominator: a deep q-table's denominator is mostly a power of q's.
 
-Sums, differences, products and linear combinations are one integer
-accumulation, ``_combine``, over the callers' (scalar, polynomial or
-scalar, polynomial or scalar) triples: they are brought to the lcm of
-their denominators (none for one triple), each term pair adds one
-integer product to its key, and one content gcd reduces the result.
+Sums, differences, products, linear combinations and the constructor (a
+coefficient times a unit monomial per term) are one integer accumulation,
+``_combine``, over the callers' (scalar, polynomial or scalar, polynomial
+or scalar) triples: they are brought to the lcm of their denominators
+(none for one triple), each term pair adds one integer product to its
+key, and one content gcd reduces the result.
 A scalar product cancels the scalar against the denominator and the
 numerators' content before it multiplies, so it needs no gcd over the
 result, and a difference of equal polynomials is zero with no
@@ -61,12 +62,8 @@ class Poly2:
 
     def __init__(self, terms: Mapping[Key, Scalar] | Iterable[tuple[Key, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        parts = list(_checked(items))
-        den = lcm(*(d for _, _, d in parts))
-        acc: dict[Key, int] = {}
-        for k, n, d in parts:
-            acc[k] = acc.get(k, 0) + n * (den // d)
-        self._num, self._den = _reduced(acc, den)
+        p = _combine((c, _raw({_key(dx, dy): 1}, 1), 1) for (dx, dy), c in items)
+        self._num, self._den = p._num, p._den
 
     # -- constructors -------------------------------------------------
 
@@ -412,12 +409,6 @@ def _key(dx: int, dy: int) -> Key:
     if key[0] < 0 or key[1] < 0:
         raise ValueError(f"negative exponent ({dx}, {dy})")
     return key
-
-
-def _checked(items: Iterable[tuple[Key, Scalar]]) -> Iterator[tuple[Key, int, int]]:
-    """Constructor input as (key, numerator, denominator), the key through ``_key``."""
-    for (dx, dy), c in items:
-        yield _key(dx, dy), *_rational(c).as_integer_ratio()
 
 
 X = Poly2.monomial(1, 0)

@@ -4,14 +4,14 @@ Everything here is a pure function of a rational deformation parameter q
 and small ``int`` indices, with exact ``Fraction`` results.  Any other
 index, or a scalar that is not an ``int`` or a ``Fraction``, is a ``TypeError``.
 
-``q = None`` stands for the classical limit q -> 1 throughout: [a] is a,
-[n]! is n!, the Gaussian binomial is C(n, k) and q^{k(k-1)/2} is 1.  That
-one convention turns every q-formula built from these primitives into
-its classical counterpart.
-
-At q = c/d in lowest terms, [a] = N_a / d^(a-1) with N_a = (d^a - c^a)/(d - c),
-an integer prime to d, and [n]! = N_1...N_n / d^(n(n-1)/2): both are computed in
-integers, as is [n k] d^(k(n-k)), and one ``Fraction`` is built per value.
+At q = c/d in lowest terms, each kernel decodes q once into (c, d) and builds
+its value in integers from N_a = (d^a - c^a)/(d - c), an integer prime to d:
+[a] = N_a / d^(a-1), [n]! = N_1...N_n / d^(n(n-1)/2) and [n k] = M / d^(k(n-k)),
+M a product of exact ratios N_{n-k+j} / N_j, each built as one ``Fraction``;
+q^e is a power of c/d.  ``q = None``, the classical limit q -> 1, decodes to
+c = d = 1, where N_a = a, so the same forms give a, n!, C(n, k) and 1: that one
+convention turns every q-formula built from these primitives into its classical
+counterpart.
 
 The scalars are asked for over and over with few distinct arguments (a
 ``verify`` run on the default grid reads 24,327 of them, of 461 distinct
@@ -98,15 +98,18 @@ def q_number(q: QParam | None, a: int) -> Fraction:
 
 
 def _q_number(q: QParam | None, a: int) -> Fraction:
-    if q is None or a == 0:
-        return Fraction(a)
-    return Fraction(_q_numerator(q, a), q.value.denominator ** (a - 1))
+    c, d = _decode(q)
+    return Fraction(_q_numerator(c, d, a), d ** (a - 1)) if a else Fraction(0)
 
 
-def _q_numerator(q: QParam, a: int) -> int:
-    # N_a = [a] d^(a-1) at q = c/d; exact, as x - y divides x^a - y^a, and c != d as q != 1
-    c, d = q.value.numerator, q.value.denominator
-    return (d ** a - c ** a) // (d - c)
+def _decode(q: QParam | None) -> tuple[int, int]:
+    """(c, d) with q = c/d in lowest terms and d > 0; the classical limit q = None is (1, 1)."""
+    return (1, 1) if q is None else (q.value.numerator, q.value.denominator)
+
+
+def _q_numerator(c: int, d: int, a: int) -> int:
+    # N_a = [a] d^(a-1) at q = c/d; exact, as x - y divides x^a - y^a; at c = d, the limit, it is a
+    return (d ** a - c ** a) // (d - c) if c != d else a
 
 
 def q_factorial(q: QParam | None, n: int) -> Fraction:
@@ -117,10 +120,9 @@ def q_factorial(q: QParam | None, n: int) -> Fraction:
 
 
 def _q_factorial(q: QParam | None, n: int) -> Fraction:
-    if q is None:
-        return Fraction(math.factorial(n))
-    return Fraction(math.prod(_q_numerator(q, k) for k in range(1, n + 1)),
-                    q.value.denominator ** (n * (n - 1) // 2))
+    c, d = _decode(q)
+    return Fraction(math.prod(_q_numerator(c, d, k) for k in range(1, n + 1)),
+                    d ** (n * (n - 1) // 2))
 
 
 def q_binomial(q: QParam | None, n: int, k: int) -> Fraction:
@@ -148,15 +150,13 @@ def _q_binomial_row(q: QParam | None, n: int) -> tuple[Fraction, ...]:
 
 def _q_binomial(q: QParam | None, n: int, k: int) -> Fraction:
     k = min(k, n - k)
-    if q is None:
-        return Fraction(math.comb(n, k))
-    # with q = c/d, the product of the first j ratios times d^{j(n-k)} is
-    # an integer (a homogenized Gaussian binomial), so each step divides
-    # exactly and the numbers stay near the size of the result
-    c, d = q.value.numerator, q.value.denominator
+    # with q = c/d, the product of the first j ratios N_{n-k+j} / N_j times d^{j(n-k)}
+    # is an integer (a homogenized Gaussian binomial, C(n-k+j, j) at c = d = 1), so
+    # each step divides exactly and the numbers stay near the size of the result
+    c, d = _decode(q)
     num = 1
     for j in range(1, k + 1):
-        num = num * (d ** (n - k + j) - c ** (n - k + j)) // (d ** j - c ** j)
+        num = num * _q_numerator(c, d, n - k + j) // _q_numerator(c, d, j)
     return Fraction(num, d ** (k * (n - k)))
 
 
@@ -179,9 +179,8 @@ def gauss_exponent(q: QParam | None, k: int) -> Fraction:
 
 
 def _gauss_exponent(q: QParam | None, k: int) -> Fraction:
-    if q is None:
-        return Fraction(1)
-    return q.power(k * (k - 1) // 2)
+    c, d = _decode(q)
+    return Fraction(c, d) ** (k * (k - 1) // 2)  # a power of a reduced Fraction needs no gcd
 
 
 def q_pair_power(q: QParam | None, a: Fraction, b: Fraction, n: int) -> Fraction:

@@ -10,6 +10,10 @@ themselves are read from the one-variable kernel series, since e(0) =
 E(0) = 1.  q-Stirling numbers are computed by their recurrence in integers,
 one build of the triangle serving every row a table reads, and the series is
 their oracle.  The two paths of each family share no series code.
+
+The classical triangle keeps the two-term rule S(i, k) = k S(i-1, k) + S(i-1, k-1):
+the q-rule, with ``qcore``'s integer forms at c = d = 1, sums i terms per value, so
+a classical row at n = 1,500 would cost O(n^3) instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import cached_property
 from typing import Iterator, Literal
 
 from .poly import Poly2, X, Y
-from .qcore import QParam, _q_numerator, gauss_exponent, q_binomial, q_factorial, scalar_memo
+from .qcore import QParam, _decode, _q_numerator, gauss_exponent, q_binomial, q_factorial, scalar_memo
 from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
@@ -150,35 +154,35 @@ def q_stirling2(q: QParam | None, m: int, k: int) -> Fraction:
 
 
 def _stirling2_row(q: QParam | None, m: int) -> tuple[Fraction, ...]:
-    """Row m of the triangle, S(m, 0..m): the last row of one build."""
-    return tuple(map(Fraction, deque(q_stirling2_rows(q, m), maxlen=1)[0]))
+    """Row m of the triangle, S(m, 0..m): the last row of one build, the one converted."""
+    return tuple(map(Fraction, *deque(q_stirling2_rows(q, m), maxlen=1)[0]))
 
 
-def q_stirling2_rows(q: QParam | None, max_n: int) -> Iterator[tuple[Fraction | int, ...]]:
-    """Rows 0..max_n of the triangle, S(i, 0..i), each built once from the rows
-    before it in integers: at q = None by S(i, k) = k S(i-1, k) + S(i-1, k-1), else
-    by S(i, k) = (1/[k]) sum_{j<i} [i j] S(j, k-1), from (e(t) - 1)^k = (e(t) - 1)^{k-1}
-    (e(t) - 1), over powers of q's denominator, with one Fraction per value yielded."""
+def q_stirling2_rows(q: QParam | None, max_n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Rows 0..max_n of the triangle, S(i, 0..i), each built once from the rows before it in
+    integers and yielded as (numerators, denominators), so a caller builds one Fraction per
+    value it keeps (``map(Fraction, *row)``): at q = None by S(i, k) = k S(i-1, k) +
+    S(i-1, k-1), else by S(i, k) = (1/[k]) sum_{j<i} [i j] S(j, k-1), from (e(t) - 1)^k =
+    (e(t) - 1)^{k-1} (e(t) - 1), over powers of q's denominator."""
     if q is None:
         row = (1,)
-        yield row
+        yield row, (1,)
         for i in range(1, max_n + 1):
             row = (0, *(k * row[k] + row[k - 1] for k in range(1, i)), 1)
-            yield row
+            yield row, (1,) * (i + 1)
         return
     # In integers at q = c/d: H[j] = [i j] d^(j(i-j)), the q-Pascal rule times d^(j(i-j)),
     # and U[i][k] = [k]! S(i, k) d^(i(i-1)/2), the recurrence times [k]! d^(i(i-1)/2), divide
     # nothing; S(i, k) = U[i][k] / (N_1...N_k d^(i(i-1)/2 - k(k-1)/2)), an exponent >= 0.
-    c, d = q.value.numerator, q.value.denominator
+    c, d = _decode(q)
     U, H, P = [(1,)], (1,), [1]
-    yield (Fraction(1),)
+    yield U[0], (1,)
     for i in range(1, max_n + 1):
         H = (1, *(d ** (i - j) * H[j - 1] + c ** j * H[j] for j in range(1, i)), 1)
         w = [H[j] * d ** ((i - j) * (i - j - 1) // 2) for j in range(i)]
-        P.append(P[-1] * _q_numerator(q, i))
+        P.append(P[-1] * _q_numerator(c, d, i))
         U.append((0, *(sum(w[j] * U[j][k - 1] for j in range(k - 1, i)) for k in range(1, i + 1))))
-        yield (Fraction(0), *(Fraction(U[i][k], P[k] * d ** ((i * (i - 1) - k * (k - 1)) // 2))
-                              for k in range(1, i + 1)))
+        yield U[i], tuple(P[k] * d ** ((i * (i - 1) - k * (k - 1)) // 2) for k in range(i + 1))
 
 
 # -- Bernstein basis ------------------------------------------------

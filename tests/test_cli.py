@@ -170,7 +170,7 @@ class TestTable:
         reads = []
         real = qbern.qspecial._q_numerator
         monkeypatch.setattr(qbern.qspecial, "_q_numerator",
-                            lambda q, i: reads.append(i) or real(q, i))
+                            lambda c, d, i: reads.append(i) or real(c, d, i))
         code, _, _ = run(capsys, "table", "--family", "qstirling", "--n-max", "12",
                          "--q", "13/23", "--no-meta")
         assert code == 0
@@ -418,6 +418,21 @@ class TestVerify:
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("argv, builder", [
+        (("table", "--family", "qeuler", "--q", "1/2", "--n-max", "3"), "family_table"),
+        (("verify", "--suite", "exp-inverse"), "run_suite"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_out_of_memory_is_internal_error(self, capsys, monkeypatch, tmp_path, argv, builder):
+        # no input is bounded: running out of memory is exit 4, raised here without allocating
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(qbern.cli, builder, exhausted)
+        target = tmp_path / "f.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (4, "", "internal error: MemoryError: \n")
+        assert not target.exists()
 
     def test_run_checking_nothing_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "lemma3", "--alpha-set", "0")

@@ -65,6 +65,13 @@ def test_corrections_surface_in_reports():
         assert expected in seen
 
 
+def test_every_correction_names_a_checked_id():
+    # a correction whose id no check reports (a renamed identity, say) would
+    # drop its note silently; classical twins report under their own ids
+    ids = {r.identity_id for r in run_suite("all", SMALL)}
+    assert set(CORRECTIONS) - ids == set()
+
+
 def test_stirling_theorem_produces_verdict_not_gate():
     reports = run_suite("stirling-theorem", SMALL)
     assert reports

@@ -193,7 +193,7 @@ class TestClassicalConvention:
     """q = None is the classical limit q -> 1."""
 
     def test_scalars(self):
-        for n in range(8):
+        for n in range(41):
             assert q_number(None, n) == n
             assert q_factorial(None, n) == math.factorial(n)
             assert gauss_exponent(None, n) == 1

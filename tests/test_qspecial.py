@@ -309,6 +309,18 @@ class TestStirling:
         assert [q_stirling2(Q2, 8, k) for k in range(9)] == list(real(Q2, 8))
         assert calls == [(Q2, 8)]
 
+    @pytest.mark.parametrize("value", [F(-417, 583), None], ids=str)
+    def test_cold_row_builds_one_fraction_per_value(self, monkeypatch, value):
+        # the triangle's rows stay integers, and only the row returned is converted
+        built = []
+        monkeypatch.setattr(qspecial, "Fraction", lambda *a: built.append(a) or F(*a))
+        q = QParam(value) if value else None
+        for m in (8, 13):
+            row = qspecial._stirling2_row(q, m)  # called directly, so past the memo
+            assert len(built) == m + 1
+            built.clear()
+            assert list(row) == [col[m] for col in series_stirling2(q, m + 1)]
+
 
 class TestBernstein:
     def test_top_index(self):
