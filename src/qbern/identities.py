@@ -139,6 +139,7 @@ class TableCache:
 
 BERN, EUL = "q_bernoulli", "q_euler"
 KINDS = {"bern": BERN, "eul": EUL}
+_KIND_PLACE = {kind: i for i, kind in enumerate(KINDS)}  # a kind's place in an id pair
 
 
 def _fn(s) -> Callable:
@@ -360,13 +361,13 @@ class Identity:
             yield from ((self.classical, p) for p in _points(classical_axes, grid))
 
 
-def _points(axes, grid: Grid, bound: tuple = ()) -> Iterator[dict]:
-    if not axes:
-        yield dict(bound)
-        return
-    (key, values), *rest = axes
-    for v in values(grid, dict(bound)):
-        yield from _points(rest, grid, (*bound, (key, v)))
+def _points(axes, grid: Grid) -> list[dict]:
+    """The points of ``axes`` in order, the last axis varying fastest, built
+    one axis at a time: each axis reads the values bound before it."""
+    points = [{}]
+    for key, values in axes:
+        points = [{**p, key: v} for p in points for v in values(grid, p)]
+    return points
 
 
 SUITES: dict[str, Callable[[Grid, TableCache], list[IdentityReport]]] = {}
@@ -382,10 +383,10 @@ def _suite(name: str, doc: str, *defs: tuple, verdict_only: bool = False):
         for ident in identities:
             for rid, params in ident.points(grid):
                 if not isinstance(rid, str):
-                    rid = rid[tuple(KINDS).index(params["kind"])]
+                    rid = rid[_KIND_PLACE[params["kind"]]]
                 c = Point(cache, rid, **params)
                 reports.append(IdentityReport(
-                    rid, tuple((k, str(v)) for k, v in params.items()),
+                    rid, tuple(zip(params, map(str, params.values()))),
                     ident.lhs(c) - ident.rhs(c), verdict_only))
         return sorted(reports, key=IdentityReport.sort_key)
 

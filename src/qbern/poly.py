@@ -12,22 +12,26 @@ reduced numerator and denominator as ints, with no ``Fraction``, by its
 valuation at one prime of ``base`` and one gcd with the rest of the
 denominator: a deep q-table's denominator is mostly a power of q's.
 
-Sums, differences, products, linear combinations and the constructor (a
-coefficient times a unit monomial per term) are one integer accumulation,
-``_combine``, over the callers' (scalar, polynomial or scalar, polynomial
-or scalar) triples: they are brought to the lcm of their denominators
-(none for one triple), each term pair adds one integer product to its
-key, and one content gcd reduces the result.
+Sums, differences, products and linear combinations are one integer
+accumulation, ``_combine``, over the callers' (scalar, polynomial or
+scalar, polynomial or scalar) triples: they are brought to the lcm of
+their denominators (none for one triple), each term pair adds one integer
+product to its key, and one content gcd reduces the result.  The
+constructor sums its coefficients per key as ``Fraction``s (a key may
+repeat), drops the zeros and brings the rest to the lcm of their
+denominators, which is canonical with no gcd.
 A scalar product cancels the scalar against the denominator and the
 numerators' content before it multiplies, so it needs no gcd over the
 result, and a difference of equal polynomials is zero with no
-accumulation.  Substitution, rescaling, the Jackson derivative and
-``samples`` (the partial evaluations at v = r h as the coefficients of
-v^r) are one termwise map, ``_termwise``, whose weights depend only on
-a term's degree in one variable; evaluation is two substitutions, and
-``swap`` exchanges x and y by permuting the keys.  A scalar is an ``int``
-or a ``Fraction``; any other type goes through ``qcore._rational``, which
-takes a ``bool`` and makes anything else a ``TypeError``.
+accumulation.  Substitution is one pass over the terms, with the value's
+powers taken once over one denominator; evaluation is two substitutions.
+Rescaling, the Jackson derivative and ``samples`` (the partial
+evaluations at v = r h as the coefficients of v^r) are one termwise map,
+``_termwise``, whose weights depend only on a term's degree in one
+variable, and ``swap`` exchanges x and y by permuting the keys.  A scalar
+is an ``int`` or a ``Fraction``; any other type goes through
+``qcore._rational``, which takes a ``bool`` and makes anything else a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -62,8 +66,16 @@ class Poly2:
 
     def __init__(self, terms: Mapping[Key, Scalar] | Iterable[tuple[Key, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        p = _combine((c, _raw({_key(dx, dy): 1}, 1), 1) for (dx, dy), c in items)
-        self._num, self._den = p._num, p._den
+        acc: dict[Key, Scalar] = {}
+        for (dx, dy), c in items:
+            k, c = _key(dx, dy), c if type(c) in _EXACT else _rational(c)
+            acc[k] = acc[k] + c if k in acc else c
+        # each sum is in lowest terms, so over the lcm of their denominators no
+        # prime divides the denominator and every numerator: canonical
+        acc = {k: c for k, c in acc.items() if c}
+        den = lcm(*(c.denominator for c in acc.values()))
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in acc.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
@@ -230,9 +242,23 @@ class Poly2:
         return self.substitute("x", x0).substitute("y", y0).constant_term()
 
     def substitute(self, var: str, value: Scalar) -> "Poly2":
-        """Partial evaluation: fix one variable to a constant."""
+        """Partial evaluation: fix one variable to v = vn / vd.  With D the top
+        degree in ``var``, v^d is vn^d vd^(D - d) over vd^D, so each term adds
+        one integer product into its key, over ``_den * vd^D``; a zero weight
+        adds nothing, so at 0 only the degree-0 terms add."""
         vn, vd = _rational(value).as_integer_ratio()
-        return self._termwise(var, lambda d: ((0, vn ** d, vd ** d),))
+        i = _var_index(var)
+        top = max((k[i] for k in self._num), default=0)
+        pw = [vn ** d * vd ** (top - d) for d in range(top + 1)]
+        acc: dict[Key, int] = {}
+        get = acc.get
+        for k, n in self._num.items():
+            w = pw[k[i]]
+            if w:
+                t = (0, k[1]) if i == 0 else (k[0], 0)
+                a = get(t)
+                acc[t] = n * w if a is None else a + n * w
+        return _raw(*_reduced(acc, self._den * pw[0]))
 
     def samples(self, var: str, h: Scalar, count: int) -> "Poly2":
         """sum_{r < count} p(v = r h) v^r: the partial evaluations at v = 0, h,

@@ -26,7 +26,8 @@ from functools import cached_property
 from typing import Iterator, Literal
 
 from .poly import Poly2, X, Y
-from .qcore import QParam, _decode, _q_numerator, gauss_exponent, q_binomial, q_factorial, scalar_memo
+from .qcore import (QParam, _decode, _q_numerator, _rational, gauss_exponent, q_binomial,
+                    q_factorial, scalar_memo)
 from .series import Series, Eq_series, eq_series
 
 Kind = Literal["q_bernoulli", "q_euler"]
@@ -209,7 +210,7 @@ def classical_limit_errors(
     q_seq: list[QParam],
 ) -> list[Fraction]:
     """|family_n,q(x, 0) - classical_n(x)| along a sequence of q values."""
-    x = Fraction(x)
+    x = _rational(x)
     classical = family_table(FamilySpec(kind, alpha, None), n)[n].evaluate(x, 0)
     out = []
     for q in q_seq:

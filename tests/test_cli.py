@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from fractions import Fraction as F
@@ -15,7 +17,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import qbern
 import qbern.cli
 from qbern.cli import KINDS, _json, main, poly_latex, poly_terms
-from qbern.identities import default_grid
+from qbern.identities import SUITE_ORDER, default_grid
 from qbern.poly import Poly2, X, Y
 from qbern.qcore import QParam
 from qbern.qspecial import q_bernoulli_table
@@ -936,3 +938,92 @@ class TestClosedPipesAndInterrupts:
         assert run(capsys, "table", "--family", "stirling2", "--n-max", "2",
                    "--out", str(target)) == (130, "", "interrupted\n")
         assert not target.exists()
+
+
+# -- the CLI contract under generated argv ----------------------------
+
+def pool(good: list[str], edge: list[str]) -> list[str]:
+    """Valid values three times as likely as edge values, which come last, so
+    a failing example shrinks towards a valid one."""
+    return good * 3 + edge
+
+
+# Edge values: empty, zero and -1, a zero denominator, nan and inf, an exponent
+# past float range, a leading space, repeated and empty list items, non-ASCII
+# digits, a plus sign, a decimal where an int belongs, and words
+RATIONALS = pool(["1/2", "-7/3", "0", "1", "2/3", "0.5", "-1/5", "355/113"],
+                 ["", "-1", "1/0", "nan", "inf", "1e400", " 3/4", "1/2,1/2", "٣/٤", "x"])
+Q_LISTS = pool(["1/2", "1/2,-7/3", "9/10,99/100,999/1000", "-412/997", "5/2"],
+               ["", "0", "1", "-1", "1/0", "nan", "0.5", "1/2,1/2", "1/2,,1/3", "٣/٤"])
+SMALL_INTS = pool(["0", "1", "2", "3", "4"], ["", "-1", "+2", "1.5", "٢", "x"])
+INT_LISTS = pool(["1", "2", "3", "1,2", "1,3"], ["", "0", "-1", "1,1", "1,x", "٢", "1.0"])
+# each command's options and their values; --n-max and --n stay at most 4
+OPTIONS = {
+    "table": [("--family", pool(list(qbern.cli.TABLE_FAMILIES), ["nonsense"])),
+              ("--alpha", SMALL_INTS), ("--n-max", SMALL_INTS), ("--q", RATIONALS),
+              ("--format", pool(["json", "csv", "latex"], ["pdf"]))],
+    "verify": [("--suite", pool([*SUITE_ORDER, "all"], ["bogus"])), ("--n-max", SMALL_INTS),
+               ("--alpha-set", pool(["0", "0,2"], INT_LISTS)), ("--m-set", INT_LISTS),
+               ("--q-set", Q_LISTS)],
+    "limit": [("--family", pool(["qbernoulli", "qeuler"], ["qstirling"])),
+              ("--alpha", SMALL_INTS), ("--n", SMALL_INTS), ("--x", RATIONALS),
+              ("--q-seq", Q_LISTS)],
+}
+REQUIRED = {"--family", "--suite", "--n-max", "--n"}
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv, out, format): a command, its required options and a size (so no
+    default reaches n = 8), its other options present or not, each with a
+    value from its pool, as ``--flag value`` or ``--flag=value``, in any
+    order, at times with an unknown option or a missing value; ``out`` is
+    the --out name or None."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    words, fmt = [], "json"
+    for flag, values in OPTIONS[command]:
+        if flag in REQUIRED or draw(st.booleans()):
+            value = draw(st.sampled_from(values))
+            fmt = value if flag == "--format" else fmt
+            words.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    out = draw(st.sampled_from([None, "out.json", "missing/out.json"]))
+    if out:
+        words.append(["--out", out])
+    if draw(st.booleans()):
+        words.append(["--no-meta"])
+    if not draw(st.integers(0, 5)):
+        words.append(draw(st.sampled_from([["--bogus"], ["--q"], ["-7/3"]])))
+    words = draw(st.permutations(words))
+    return [command, *(w for word in words for w in word)], out, fmt
+
+
+class TestCliContract:
+    # 400 examples take about 3 s; the count is not to be lowered to save time
+    @settings(max_examples=400, deadline=None)
+    @given(case=cli_argv())
+    @example(case=(["limit", "--family", "qeuler", "--n", "4", "--x", "1e400"], None, "json"))
+    @example(case=(["verify", "--suite", "all", "--n-max", "2", "--q-set", "1/2,1/2"], None,
+                   "json"))
+    @example(case=(["table", "--family", "qbernoulli", "--n-max", "3", "--q", "-7/3",
+                    "--out", "out.json"], "out.json", "json"))
+    def test_every_argv_gives_a_documented_exit(self, case):
+        """Exit 0-3 and no traceback; a failure leaves no regular --out file, and
+        a success writes JSON that parses, unless --format asked for CSV or LaTeX."""
+        argv, out, fmt = case
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # --out names a file in a fresh directory
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                written = Path(out).read_text() if out and Path(out).is_file() else None
+            finally:
+                os.chdir(cwd)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3), (code, err)
+        assert "Traceback" not in err
+        if code:
+            assert written is None
+        elif fmt == "json":
+            json.loads(written if out else stdout.getvalue())

@@ -7,6 +7,7 @@ from qbern import identities
 from qbern.identities import (
     CORRECTIONS,
     Grid,
+    Identity,
     default_grid,
     run_suite,
 )
@@ -190,6 +191,36 @@ def test_brackets_are_keyed_by_their_report_id(monkeypatch):
     keys = [k for store in stores for k in store._store if k[0] not in SEQUENCES]
     assert {k[0] for k in keys if k[1] is not None} == BRACKETS
     assert {k[0] for k in keys if k[1] is None} == {"classical-c2-2", "classical-euler-c2-2"}
+
+
+def recursive_points(axes, grid, bound=()):
+    """The points of ``axes`` by one generator frame per axis: the reference order."""
+    if not axes:
+        yield dict(bound)
+        return
+    (key, values), *rest = axes
+    for v in values(grid, dict(bound)):
+        yield from recursive_points(rest, grid, (*bound, (key, v)))
+
+
+@pytest.mark.parametrize("grid", [SMALL, Grid(3, (0, 2), (1, 3), (None, QParam(F(-7, 3))))],
+                         ids=["SMALL", "alpha 0 and the classical point"])
+def test_points_match_a_recursive_enumeration(monkeypatch, grid):
+    # every suite's identities, collected by running each suite with no points
+    seen = []
+    monkeypatch.setattr(Identity, "points", lambda self, grid: seen.append(self) or ())
+    run_suite("all", grid)
+    monkeypatch.undo()
+    assert len(seen) == 41 and any(identities.K_N in i.axes for i in seen)
+    for ident in seen:
+        expected = [(ident.id, p) for p in recursive_points(ident.axes, grid)]
+        if ident.classical:
+            axes = [a for a in ident.axes if a is not identities.Q]
+            expected += [(ident.classical, p) for p in recursive_points(axes, grid)]
+        got = list(ident.points(grid))
+        # the parameter order is the report's, so compare the items in order
+        assert [(i, list(p.items())) for i, p in got] == \
+            [(i, list(p.items())) for i, p in expected], ident.id
 
 
 def test_every_suite_runs_at_the_classical_point():

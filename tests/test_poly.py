@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from qbern import poly
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern.qcore import QParam, gauss_exponent, q_number, q_pair_power
-from qbern.qspecial import FamilySpec, family_table
+from qbern.qspecial import FamilySpec, classical_limit_errors, family_table
 
 Q2 = QParam(F(1, 2))
 
@@ -107,6 +107,8 @@ class TestSubstitution:
     "Poly2.linear_combination([(None, X, 1)])", "Poly2.linear_combination([(Decimal(1), X, 1)])",
     "Poly2.monomial(1.5, 0)", "Poly2({(1.5, 0): 1})", "Poly2.monomial(2.0, 0)",
     "Poly2({(0, 2.0): 1})",
+    "classical_limit_errors('q_bernoulli', 1, 2, 0.1, [Q2])",
+    "classical_limit_errors('q_bernoulli', 1, 2, '1/3', [Q2])",
 ])
 def test_scalars_are_ints_or_fractions_and_indices_ints(expr):
     # a float would enter at its binary value and a string would be parsed
@@ -295,8 +297,16 @@ def fraction_products(triples):
             for (ax, ay), ac in p.items() for (bx, by), bc in r.items()]
 
 
+# substitution at 0, 1 and -1, where the value's denominator is 1
+SUBSTITUTED = ({(0, 0): F(1, 2), (2, 1): F(-3, 7), (1, 3): F(5), (3, 0): F(2, 3)},
+               {(2, 1): F(3, 7), (0, 3): F(-1, 6), (1, 0): F(4)})
+
+
 @settings(max_examples=60, deadline=None)
 @given(ab=overlapping_terms(), w=wide_fractions, v=wide_fractions, var=st.sampled_from(["x", "y"]))
+@example(ab=SUBSTITUTED, w=F(2, 3), v=F(0), var="x")
+@example(ab=SUBSTITUTED, w=F(2, 3), v=F(1), var="y")
+@example(ab=SUBSTITUTED, w=F(2, 3), v=F(-1), var="x")
 def test_kernel_matches_fraction_arithmetic(ab, w, v, var):
     ta, tb = ab
     a, b = Poly2(ta), Poly2(tb)
@@ -308,6 +318,8 @@ def test_kernel_matches_fraction_arithmetic(ab, w, v, var):
     neg_b = {k: -c for k, c in tb.items()}
     q = Q_WIDE.value
     cases = [
+        # the constructor sums repeated keys, some of which cancel
+        (Poly2([*ta.items(), *tb.items()]), fraction_sum([*ta.items(), *tb.items()])),
         (a + b, fraction_sum([*ta.items(), *tb.items()])),
         (a - b, fraction_sum([*ta.items(), *neg_b.items()])),
         (a - w, fraction_sum([*ta.items(), ((0, 0), -w)])),
@@ -347,12 +359,25 @@ def assert_canonical(p):
 @given(ab=overlapping_terms(), w=wide_fractions, v=wide_fractions, var=st.sampled_from(["x", "y"]))
 def test_every_result_is_canonical(ab, w, v, var):
     a, b = Poly2(ab[0]), Poly2(ab[1])
-    for p in (a, b, a + b, a - b, b - a, a + w, w - a, -a, a * w, w * b, a * 0, a * b,
+    for p in (a, b, Poly2([*ab[0].items(), *ab[1].items()]),
+              a + b, a - b, b - a, a + w, w - a, -a, a * w, w * b, a * 0, a * b,
               Poly2.linear_combination([(w, a, b), (v, b, b), (1, a, w), (-w, b, a)]),
               Poly2.linear_combination([(1, a, b), (-1, b, a)]),
-              a.substitute(var, v), a.substitute(var, 0), a.scale_var(var, w),
+              a.substitute(var, v), a.substitute(var, 0), a.substitute(var, 1),
+              a.substitute(var, -1), a.scale_var(var, w),
               a.jackson(var, Q_WIDE), a.jackson(var, Q2)):
         assert_canonical(p)
+
+
+def test_constructor_sums_repeated_keys_to_canonical_form():
+    p = Poly2([((1, 0), F(1, 3)), ((0, 2), F(1, 6)), ((1, 0), F(-1, 3)), ((0, 2), F(1, 3)),
+               ((2, 0), 4), ((0, 0), F(5, 9)), ((0, 0), F(-5, 9))])
+    # x cancels, 1/6 + 1/3 = 1/2, and the constants cancel: 4 x^2 + y^2 / 2 over 2
+    assert p == 4 * X**2 + F(1, 2) * Y**2
+    assert (p._num, p._den) == ({(2, 0): 8, (0, 2): 1}, 2)
+    assert_canonical(p)
+    zero = Poly2([((1, 1), F(2, 7)), ((1, 1), F(-2, 7))])
+    assert (zero._num, zero._den) == ({}, 1)
 
 
 def test_scalar_product_cancels_to_an_integer_denominator():
