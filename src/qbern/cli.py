@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import os
 import re
@@ -132,6 +133,7 @@ def _table_payload(args) -> dict:
     if family not in KINDS and args.alpha is not None:
         raise CliError(f"--alpha does not apply to {family}")
     q = _q(args)
+    start = time.perf_counter()
     payload: dict = {"family": family, "n_max": n_max}
     if q is not None:
         payload["q"] = str(q)
@@ -139,18 +141,20 @@ def _table_payload(args) -> dict:
         alpha = payload["alpha"] = 1 if args.alpha is None else args.alpha
         table = family_table(FamilySpec(KINDS[family], alpha, q), n_max)
         payload["entries"] = [{"n": n, "poly": p} for n, p in enumerate(table.entries)]
-        return payload
-    # the (n, k) triangles: q-Bernstein polynomials or q-Stirling numbers
-    if family == "qbernstein":
-        name, key, cell = "entries", "poly", lambda n, k: q_bernstein(q, n, k)
     else:
-        # one build of the triangle serves every row, and the memo keeps none of it
-        rows = [tuple(map(Fraction, *row)) for row in q_stirling2_rows(q, n_max)]
-        name, key = "rows", "value"
-        cell = lambda n, k: str(rows[n][k])
-    payload[name] = [
-        {"n": n, "k": k, key: cell(n, k)} for n in range(n_max + 1) for k in range(n + 1)
-    ]
+        # the (n, k) triangles: q-Bernstein polynomials or q-Stirling numbers
+        if family == "qbernstein":
+            name, key, cell = "entries", "poly", lambda n, k: q_bernstein(q, n, k)
+        else:
+            # one build of the triangle serves every row, and the memo keeps none of it
+            rows = [tuple(map(Fraction, *row)) for row in q_stirling2_rows(q, n_max)]
+            name, key = "rows", "value"
+            cell = lambda n, k: str(rows[n][k])
+        payload[name] = [
+            {"n": n, "k": k, key: cell(n, k)} for n in range(n_max + 1) for k in range(n + 1)
+        ]
+    # meta is written before the payload, so the time to format and write it is not here
+    args.timing = {"build_s": round(time.perf_counter() - start, 6)}
     return payload
 
 
@@ -282,7 +286,8 @@ def _limit_payload(args) -> dict:
 # -- driver ----------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
+    # allow_abbrev=False: an option is read only by its full name, never by a prefix
+    output = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     output.add_argument("--out", default=None)
     output.add_argument("--no-meta", action="store_true")
 
@@ -290,10 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbern",
         description="Exact tables and identity verification for generalized "
         "q-Bernoulli / q-Euler polynomials",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", parents=[output], help="emit a polynomial or number table")
+    add = functools.partial(sub.add_parser, parents=[output], allow_abbrev=False)
+
+    p = add("table", help="emit a polynomial or number table")
     p.add_argument("--family", required=True, choices=TABLE_FAMILIES)
     p.add_argument("--alpha", type=int, default=None,
                    help="order of the Bernoulli and Euler families (default 1)")
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help="rational q, e.g. 1/2")
     p.add_argument("--format", default="json", choices=tuple(WRITERS))
 
-    p = sub.add_parser("verify", parents=[output], help="run an identity suite over a grid")
+    p = add("verify", help="run an identity suite over a grid")
     p.add_argument("--suite", required=True, choices=(*SUITE_ORDER, "all"))
     grid = default_grid()
     p.add_argument("--n-max", type=int, default=grid.n_max)
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                          ("--q-set", grid.q_set)):
         p.add_argument(flag, default=",".join(map(str, values)))
 
-    p = sub.add_parser("limit", parents=[output], help="classical-limit error study")
+    p = add("limit", help="classical-limit error study")
     p.add_argument("--family", required=True, choices=("qbernoulli", "qeuler"))
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--n", type=int, required=True)

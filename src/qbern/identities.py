@@ -112,11 +112,13 @@ _MISSING = object()  # no stored value is this object
 
 class TableCache:
     """The one store of a run: each polynomial table, as deep as the run
-    reads, and each value of a named sequence, built once."""
+    reads, and each value of a named sequence, built once.  ``build_s`` is
+    the wall time spent building tables."""
 
     def __init__(self, max_n: int):
         self.max_n = max_n
         self.hits = self.misses = 0
+        self.build_s = 0.0
         self._store: dict[tuple, object] = {}
 
     def once(self, key: tuple, build: Callable[[], object]):
@@ -131,8 +133,13 @@ class TableCache:
         return value
 
     def get(self, kind: str, q: QParam | None, alpha: int) -> PolyTable:
-        return self.once((kind, q, alpha),
-                         lambda: family_table(FamilySpec(kind, alpha, q), self.max_n))
+        def build() -> PolyTable:
+            start = time.perf_counter()
+            table = family_table(FamilySpec(kind, alpha, q), self.max_n)
+            self.build_s += time.perf_counter() - start
+            return table
+
+        return self.once((kind, q, alpha), build)
 
 
 # -- the convolution and the evaluation point ------------------------
@@ -525,9 +532,10 @@ SUITE_ORDER = (*sorted(set(SUITES) - {"exp-inverse"}), "exp-inverse")
 
 def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[IdentityReport]:
     """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order,
-    over one store.  A ``timing`` dict receives each suite's wall seconds
-    and report count under ``suites`` and the suite's name, and the
-    store's entries, hits and misses under ``run_cache``."""
+    over one store.  A ``timing`` dict receives each suite's wall seconds,
+    the seconds of them spent building tables and its report count under
+    ``suites`` and the suite's name, and the store's entries, hits and
+    misses under ``run_cache``."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_ORDER if name == "all" else (name,)
@@ -538,9 +546,10 @@ def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[Identit
     reports, timing = [], {} if timing is None else timing
     suites = timing["suites"] = {}
     for s in names:
-        start = time.perf_counter()
+        start, built = time.perf_counter(), cache.build_s
         got = SUITES[s](grid, cache)
         reports += got
-        suites[s] = {"wall_s": round(time.perf_counter() - start, 6), "reports": len(got)}
+        suites[s] = {"wall_s": round(time.perf_counter() - start, 6),
+                     "tables_s": round(cache.build_s - built, 6), "reports": len(got)}
     timing["run_cache"] = {"entries": len(cache._store), "hits": cache.hits, "misses": cache.misses}
     return reports

@@ -4,8 +4,12 @@ Generalized Bernoulli and Euler polynomials of integer order,
 Stirling numbers of the second kind and the Phillips q-Bernstein basis.
 Each takes q = None for its classical (q -> 1) flavour.
 
-Tables are built once from their generating functions, and triangular
-recurrences for their number sequences are the test oracles; the numbers
+Tables are built once from their generating functions, kernel^alpha times
+e(tx)E(ty).  Neither the kind nor alpha enters e(tx)E(ty), and the order-alpha
+kernel is the alpha-th power of the order-1 one, so both factors are built
+once per (q, order) and kept in ``qcore.scalar_memo``: the tables of both
+kinds and every order at one q share them.  Triangular recurrences for the
+number sequences, summed in integers, are the test oracles; the numbers
 themselves are read from the one-variable kernel series, since e(0) =
 E(0) = 1.  q-Stirling numbers are computed by their recurrence in integers,
 one build of the triangle serving every row a table reads, and the series is
@@ -18,12 +22,13 @@ a classical row at n = 1,500 would cost O(n^3) instead of O(n^2).
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 from .poly import Poly2, X, Y
 from .qcore import (QParam, _decode, _q_numerator, _rational, gauss_exponent, q_binomial,
@@ -65,10 +70,10 @@ class PolyTable:
     num = cached_property(lambda t: tuple(p.constant_term() for p in t.entries))
 
 
-def _kernel(kind: Kind, q: QParam | None, alpha: int, order: int) -> Series:
-    """(t / (e(t) - 1))^alpha or (2 / (e(t) + 1))^alpha, truncated."""
+def _order1_kernel(q: QParam | None, kind: Kind, order: int) -> Series:
+    """t / (e(t) - 1) or 2 / (e(t) + 1), truncated: the reciprocal of its base."""
     if kind == "q_bernoulli":
-        # (e(t) - 1)/t has raw coefficients 1/[n+1]!; invert and raise.
+        # (e(t) - 1)/t has raw coefficients 1/[n+1]!
         base = Series([Fraction(1) / q_factorial(q, n + 1) for n in range(order + 1)])
     else:
         # (e(t) + 1)/2
@@ -76,7 +81,17 @@ def _kernel(kind: Kind, q: QParam | None, alpha: int, order: int) -> Series:
             [Fraction(1)]
             + [Fraction(1, 2) / q_factorial(q, n) for n in range(1, order + 1)]
         )
-    return base.int_power(-alpha)
+    return base.reciprocal()
+
+
+def _kernel(kind: Kind, q: QParam | None, alpha: int, order: int) -> Series:
+    """The order-alpha kernel: the alpha-th power of the memoized order-1 kernel."""
+    return scalar_memo(_order1_kernel, q, kind, order).int_power(alpha)
+
+
+def _exp_pair(q: QParam | None, order: int) -> Series:
+    """The bivariate factor e(tx) E(ty) that every table shares, truncated."""
+    return eq_series(q, X, order) * Eq_series(q, Y, order)
 
 
 def family_table(spec: FamilySpec, max_n: int) -> PolyTable:
@@ -86,7 +101,7 @@ def family_table(spec: FamilySpec, max_n: int) -> PolyTable:
         raise ValueError("max_n must be nonnegative")
     q = spec.q
     kern = _kernel(spec.kind, q, spec.order_alpha, max_n)
-    s = kern * eq_series(q, X, max_n) * Eq_series(q, Y, max_n)
+    s = kern * scalar_memo(_exp_pair, q, max_n)
     return PolyTable(spec, tuple(s.egf_coefficient(n, q) for n in range(max_n + 1)))
 
 
@@ -119,9 +134,7 @@ def q_bernoulli_numbers_recurrence(q: QParam, max_n: int) -> list[Fraction]:
     """
     out: list[Fraction] = []
     for m in range(1, max_n + 2):
-        acc = sum(
-            (q_binomial(q, m, k) * out[k] for k in range(m - 1)), Fraction(0)
-        )
+        acc = _dot((q_binomial(q, m, k), out[k]) for k in range(m - 1))
         rhs = Fraction(1) if m == 1 else Fraction(0)
         out.append((rhs - acc) / q_binomial(q, m, m - 1))
     return out[: max_n + 1]
@@ -135,11 +148,17 @@ def q_euler_numbers_recurrence(q: QParam, max_n: int) -> list[Fraction]:
     """
     out = [Fraction(1)]
     for m in range(1, max_n + 1):
-        acc = sum(
-            (q_binomial(q, m, k) * out[k] for k in range(m)), Fraction(0)
-        )
+        acc = _dot((q_binomial(q, m, k), out[k]) for k in range(m))
         out.append(-acc / 2)
     return out
+
+
+def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """sum a b over the pairs, accumulated in integers: each product's numerator
+    over the lcm of the products' denominators, and one Fraction at the end."""
+    terms = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs]
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 # -- Stirling numbers ------------------------------------------------

@@ -101,6 +101,18 @@ class TestTable:
         assert doc["meta"]["tool"] == "qbern"
         assert "timestamp" in doc["meta"]
 
+    @pytest.mark.parametrize("family", ["qeuler", "qstirling", "qbernstein"])
+    def test_build_time_in_meta_only(self, capsys, family):
+        args = ("table", "--family", family, "--n-max", "4", "--q", "3/4")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["meta"]["timing"]) == ["build_s"]
+        assert doc["meta"]["timing"]["build_s"] >= 0
+        _, bare, _ = run(capsys, *args, "--no-meta")
+        assert json.loads(bare) == {"payload": doc["payload"]}
+        assert "timing" not in bare
+
     def test_csv(self, capsys):
         code, out, _ = run(
             capsys,
@@ -465,6 +477,9 @@ class TestVerify:
         assert sum(s["reports"] for s in timing["suites"].values()) == doc["payload"]["total"]
         assert all(s["wall_s"] >= 0 for s in timing["suites"].values())
         assert timing["wall_s"] >= sum(s["wall_s"] for s in timing["suites"].values())
+        # the table builds are timed inside each suite's wall time
+        assert all(0 <= s["tables_s"] <= s["wall_s"] for s in timing["suites"].values())
+        assert sum(s["tables_s"] for s in timing["suites"].values()) > 0
         memo = timing["scalar_memo"]
         assert memo["hits"] > 0 and memo["misses"] >= 0
         assert 0 < memo["size"] <= memo["bound"]
@@ -567,6 +582,19 @@ def test_negative_value_after_a_space(capsys, argv, option):
     assert (code, err) == (0, "")
     _, joined, _ = run(capsys, *argv, "=".join(option), "--no-meta")
     assert spaced == joined
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "lemma4", "--n-max", "2", "--q", "5/2", "--al", "1"),
+    ("limit", "--family", "qeuler", "--n", "2", "--q", "1/2"),
+    ("table", "--fam", "qeuler", "--n-max", "2", "--q", "1/2"),
+])
+def test_option_names_are_exact(capsys, argv):
+    # a prefix of an option is not that option: --q is not --q-set or --q-seq
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err or "required" in err
+    assert "Traceback" not in err
 
 
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))

@@ -9,7 +9,7 @@ from qbern.identities import qconv
 from qbern.poly import Poly2, X, Y, symbolic_pair_power
 from qbern import qspecial
 from qbern.qcore import QParam, q_binomial, q_factorial, q_number, gauss_exponent, scalar_memo
-from qbern.series import Series
+from qbern.series import Eq_series, Series, eq_series
 from qbern.qspecial import (
     FamilySpec,
     classical_limit_errors,
@@ -412,3 +412,89 @@ class TestClassicalLimit:
             (err,) = classical_limit_errors("q_bernoulli", 1, 1, F(0), [q])
             qq = q.value
             assert err == (1 - qq) / (2 * (1 + qq))
+
+
+# -- the generating-function factors shared between tables ------------
+
+KIND_NAMES = ("q_bernoulli", "q_euler")
+
+
+def unshared_table(kind, q, alpha, n):
+    """Entries 0..n of kernel^alpha * e(tx) * E(ty), built with no memoized
+    series: the kernel's base is inverted here, and the product is taken in
+    the order kern * e(tx) * E(ty)."""
+    if kind == "q_bernoulli":
+        base = Series([1 / q_factorial(q, k + 1) for k in range(n + 1)])
+    else:
+        base = Series([F(1)] + [F(1, 2) / q_factorial(q, k) for k in range(1, n + 1)])
+    kern = base.int_power(-alpha)
+    s = kern * eq_series(q, X, n) * Eq_series(q, Y, n)
+    return [s.coeffs[k] * q_factorial(q, k) for k in range(n + 1)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(value=three_digit_q | st.none(), kind=st.sampled_from(KIND_NAMES),
+       alpha=st.sampled_from([-1, 0, 1, 2, 3]), n=st.integers(0, 6))
+def test_shared_factors_give_the_unshared_product(value, kind, alpha, n):
+    q = None if value is None else QParam(value)
+    table = family_table(FamilySpec(kind, alpha, q), n)
+    assert list(table.entries) == unshared_table(kind, q, alpha, n)
+
+
+def test_memoized_factors_are_keyed_on_q_and_order():
+    # a factor served to the wrong q or at the wrong order changes a table
+    q1, q2 = QParam(F(-412, 997)), QParam(F(355, 113))
+    builds = [(q1, 4), (q2, 4), (q1, 2), (q1, 6), (None, 3)]
+    warm = {(q, n, kind, alpha): family_table(FamilySpec(kind, alpha, q), n).entries
+            for q, n in builds for kind in KIND_NAMES for alpha in (1, 2)}
+    for (q, n, kind, alpha), entries in warm.items():
+        scalar_memo.cache_clear()
+        assert family_table(FamilySpec(kind, alpha, q), n).entries == entries, (q, n, kind)
+
+
+def test_each_factor_is_built_once_per_q(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        monkeypatch.setattr(qspecial, name, lambda *a: calls.append(name) or real(*a))
+
+    counted("eq_series", qspecial.eq_series)
+    counted("Eq_series", qspecial.Eq_series)
+    reciprocal = Series.reciprocal
+    monkeypatch.setattr(Series, "reciprocal",
+                        lambda s: calls.append("reciprocal") or reciprocal(s))
+    scalar_memo.cache_clear()
+    q = QParam(F(-7, 3))
+    for kind in KIND_NAMES:
+        for alpha in (1, 2, 3):
+            family_table(FamilySpec(kind, alpha, q), 6)
+    assert sorted(calls) == ["Eq_series", "eq_series", "reciprocal", "reciprocal"]
+    # the number sequences read the same order-1 kernels
+    for kind in KIND_NAMES:
+        q_number_sequence(FamilySpec(kind, 2, q), 6)
+    assert len(calls) == 4
+
+
+def plain_recurrences(q, n):
+    """The two recurrences summed term by term in Fractions."""
+    bern = []
+    for m in range(1, n + 2):
+        acc = F(0)
+        for k in range(m - 1):
+            acc += q_binomial(q, m, k) * bern[k]
+        bern.append(((1 if m == 1 else 0) - acc) / q_binomial(q, m, m - 1))
+    eul = [F(1)]
+    for m in range(1, n + 1):
+        acc = F(0)
+        for k in range(m):
+            acc += q_binomial(q, m, k) * eul[k]
+        eul.append(-acc / 2)
+    return bern[: n + 1], eul
+
+
+@settings(max_examples=20, deadline=None)
+@given(value=three_digit_q | st.none(), n=st.integers(0, 12))
+def test_recurrence_oracles_match_a_plain_fraction_sum(value, n):
+    q = None if value is None else QParam(value)
+    assert (q_bernoulli_numbers_recurrence(q, n),
+            q_euler_numbers_recurrence(q, n)) == plain_recurrences(q, n)
