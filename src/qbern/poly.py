@@ -81,7 +81,8 @@ class Poly2:
 
     @classmethod
     def zero(cls) -> "Poly2":
-        return _raw({}, 1)
+        """The zero polynomial: one shared instance, as a ``Poly2`` is immutable."""
+        return _ZERO
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly2":
@@ -437,6 +438,7 @@ def _key(dx: int, dy: int) -> Key:
     return key
 
 
+_ZERO = _raw({}, 1)
 X = Poly2.monomial(1, 0)
 Y = Poly2.monomial(0, 1)
 

@@ -8,12 +8,15 @@ Tables are built once from their generating functions, kernel^alpha times
 e(tx)E(ty).  Neither the kind nor alpha enters e(tx)E(ty), and the order-alpha
 kernel is the alpha-th power of the order-1 one, so both factors are built
 once per (q, order) and kept in ``qcore.scalar_memo``: the tables of both
-kinds and every order at one q share them.  Triangular recurrences for the
-number sequences, summed in integers, are the test oracles; the numbers
-themselves are read from the one-variable kernel series, since e(0) =
-E(0) = 1.  q-Stirling numbers are computed by their recurrence in integers,
-one build of the triangle serving every row a table reads, and the series is
-their oracle.  The two paths of each family share no series code.
+kinds and every order at one q share them.  A negative order is a power of
+the kernel's base, which needs no reciprocal.  Each entry is summed from the
+two factors' coefficients and scaled by [n]! as it is built, so a table is
+never held twice, as its product series and as its entries.  Triangular
+recurrences for the number sequences, summed in integers, are the test
+oracles; the numbers themselves are read from the one-variable kernel
+series, since e(0) = E(0) = 1.  q-Stirling numbers are computed by their
+recurrence in integers, one build of the triangle serving every row a table
+reads, and the series is their oracle.  The two paths of each family share no series code.
 
 The classical triangle keeps the two-term rule S(i, k) = k S(i-1, k) + S(i-1, k-1):
 the q-rule, with ``qcore``'s integer forms at c = d = 1, sums i terms per value, so
@@ -70,22 +73,24 @@ class PolyTable:
     num = cached_property(lambda t: tuple(p.constant_term() for p in t.entries))
 
 
-def _order1_kernel(q: QParam | None, kind: Kind, order: int) -> Series:
-    """t / (e(t) - 1) or 2 / (e(t) + 1), truncated: the reciprocal of its base."""
+def _kernel_base(q: QParam | None, kind: Kind, order: int) -> Series:
+    """(e(t) - 1)/t or (e(t) + 1)/2, truncated: the order -1 kernel."""
     if kind == "q_bernoulli":
         # (e(t) - 1)/t has raw coefficients 1/[n+1]!
-        base = Series([Fraction(1) / q_factorial(q, n + 1) for n in range(order + 1)])
-    else:
-        # (e(t) + 1)/2
-        base = Series(
-            [Fraction(1)]
-            + [Fraction(1, 2) / q_factorial(q, n) for n in range(1, order + 1)]
-        )
-    return base.reciprocal()
+        return Series([Fraction(1) / q_factorial(q, n + 1) for n in range(order + 1)])
+    return Series([Fraction(1)] + [Fraction(1, 2) / q_factorial(q, n) for n in range(1, order + 1)])
+
+
+def _order1_kernel(q: QParam | None, kind: Kind, order: int) -> Series:
+    """t / (e(t) - 1) or 2 / (e(t) + 1), truncated: the reciprocal of its base."""
+    return _kernel_base(q, kind, order).reciprocal()
 
 
 def _kernel(kind: Kind, q: QParam | None, alpha: int, order: int) -> Series:
-    """The order-alpha kernel: the alpha-th power of the memoized order-1 kernel."""
+    """The order-alpha kernel: the alpha-th power of the memoized order-1 kernel,
+    or for alpha < 0 the |alpha|-th power of its base, with no reciprocal."""
+    if alpha < 0:
+        return _kernel_base(q, kind, order).int_power(-alpha)
     return scalar_memo(_order1_kernel, q, kind, order).int_power(alpha)
 
 
@@ -96,13 +101,17 @@ def _exp_pair(q: QParam | None, order: int) -> Series:
 
 def family_table(spec: FamilySpec, max_n: int) -> PolyTable:
     """Entries 0..max_n of the full bivariate generating series
-    kernel^alpha * e(tx) * E(ty), in the [n]!-weighted view."""
+    kernel^alpha * e(tx) * E(ty), in the [n]!-weighted view.  Entry n is
+    built from the two factors alone, one index at a time, so the product
+    series is never held beside the finished entries."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     q = spec.q
-    kern = _kernel(spec.kind, q, spec.order_alpha, max_n)
-    s = kern * scalar_memo(_exp_pair, q, max_n)
-    return PolyTable(spec, tuple(s.egf_coefficient(n, q) for n in range(max_n + 1)))
+    kern = _kernel(spec.kind, q, spec.order_alpha, max_n).coeffs
+    ex = scalar_memo(_exp_pair, q, max_n).coeffs
+    return PolyTable(spec, tuple(
+        Poly2.linear_combination((1, kern[k], ex[n - k]) for k in range(n + 1))
+        * q_factorial(q, n) for n in range(max_n + 1)))
 
 
 def q_bernoulli_table(q: QParam, alpha: int, max_n: int) -> PolyTable:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -50,9 +51,23 @@ def test_reports_hold_only_their_residual():
     reports = run_suite("sp1", SMALL)
     assert reports
     for r in reports:
-        assert [v for v in vars(r).values() if isinstance(v, Poly2)] == [r.residual]
+        fields = [getattr(r, f.name) for f in dataclasses.fields(r)]
+        assert [v for v in fields if isinstance(v, Poly2)] == [r.residual]
         assert r.passed == r.residual.is_zero
         assert r.correction_applied == CORRECTIONS.get(r.identity_id)
+
+
+def test_reports_share_their_parameters_and_the_zero_residual():
+    # reports are held for the whole run: equal parameters are one tuple, a
+    # pass holds the one zero polynomial, and a report has no __dict__
+    reports = run_suite("all", SMALL)
+    shared = {}
+    for r in reports:
+        assert shared.setdefault(r.params, r.params) is r.params
+        if r.passed:
+            assert r.residual is Poly2.zero()
+    assert len(shared) < len(reports)
+    assert not hasattr(reports[0], "__dict__")
 
 
 def test_corrections_surface_in_reports():
@@ -174,8 +189,8 @@ def test_each_recurrence_power_is_computed_once_per_run(monkeypatch):
         (q, m) for q in SMALL.q_set for m in SMALL.m_set}
 
 
-SEQUENCES = {"q_bernoulli", "q_euler", "pair", "pair_ym1", "P",
-             "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)", "B1.y0(mx)", "ysum", "xsum", "falling-row"}
+SEQUENCES = {"q_bernoulli", "q_euler", "pair", "pair_ym1", "P", "E1.x0(my)", "E1.y0(mx)",
+             "B1.x0(my)", "B1.y0(mx)", "ysum", "xsum", "falling-row", "params"}
 BRACKETS = {"sp1-1", "sp1-2", "sp2-1", "sp2-2", "c1-1", "c1-2", "euler-c1"}
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -473,6 +474,41 @@ def test_each_factor_is_built_once_per_q(monkeypatch):
     for kind in KIND_NAMES:
         q_number_sequence(FamilySpec(kind, 2, q), 6)
     assert len(calls) == 4
+
+
+def test_negative_orders_take_no_reciprocal(monkeypatch):
+    # a negative order is a power of the kernel's base, not of the inverted kernel
+    calls = []
+    reciprocal = Series.reciprocal
+    monkeypatch.setattr(Series, "reciprocal",
+                        lambda s: calls.append("reciprocal") or reciprocal(s))
+    scalar_memo.cache_clear()
+    for q in (QParam(F(7, 11)), None):
+        for kind in KIND_NAMES:
+            for alpha in (-1, -2):
+                family_table(FamilySpec(kind, alpha, q), 6)
+                q_number_sequence(FamilySpec(kind, alpha, q), 6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind, alpha, q", [
+    ("q_bernoulli", 1, QParam(F(7, 11))), ("q_euler", 2, QParam(F(-7, 3))),
+    ("q_bernoulli", 3, None)])
+def test_a_table_is_held_once_while_it_is_built(kind, alpha, q):
+    # with both factors in the memo, building the n = 30 table holds little
+    # more than the table: never its product series beside its entries
+    spec = FamilySpec(kind, alpha, q)
+    family_table(spec, 30)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = family_table(spec, 30)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 31
+    assert peak <= 1.3 * held, (peak, held)
 
 
 def plain_recurrences(q, n):
