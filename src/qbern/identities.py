@@ -15,7 +15,9 @@ is f keyed on the point's ``axes``, all that f reads.  The weighted sums
 sum (the kind and order of the table's spec and the projection, so ``Bm``
 at alpha is ``B`` at alpha - 1) and k; a sum of a difference is written as
 the difference of two sums.  One store builds each table, sequence value
-and weighted sum, pair and recurrence powers included, once per run.  Every
+and weighted sum, pair and recurrence powers included, once per run, and
+holds each family of entries (a sequence or sum by name, a table by order)
+only until the last suite of the run that reads it has finished.  Every
 ``c.B`` is a store read, so a formula that reads a table at each index
 binds it once, as a local or as a lambda default (``lambda j, B=c.B: ...``).
 ``q = None`` is the classical limit (see ``qcore``), so a classical q -> 1
@@ -34,7 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .poly import Poly2, symbolic_pair_power
 from .qcore import QParam, q_binomial, q_binomial_row, q_number, q_pair_power, gauss_exponent
@@ -121,9 +123,21 @@ class TableCache:
 
     def __init__(self, max_n: int):
         self.max_n = max_n
-        self.hits = self.misses = 0
+        self.hits = self.misses = self._peak = 0
         self.build_s = 0.0
         self._store: dict[tuple, object] = {}
+
+    @property
+    def peak_entries(self) -> int:
+        """The most entries held at once: entries are only added between releases."""
+        return max(self._peak, len(self._store))
+
+    def release(self, families: set) -> None:
+        """Drop every entry of ``families``: a table is known by its order, any
+        other entry by its name, the first item of its key."""
+        self._peak = self.peak_entries
+        self._store = {k: v for k, v in self._store.items()
+                       if (k[2] if isinstance(v, PolyTable) else k[0]) not in families}
 
     def once(self, key: tuple, build: Callable[[], object]):
         """The value stored under ``key``, built by ``build()`` on first use;
@@ -356,6 +370,11 @@ Q = ("q", lambda g, p: g.q_set)
 ORDER = ("order", lambda g, p: (g.n_max,))
 
 
+def _alpha_orders(*fixed: int) -> Callable[[Grid], set[int]]:
+    """The table orders alpha and alpha - 1 at the ALPHA axis's values, and ``fixed``."""
+    return lambda g: {*fixed, *(a - d for a in ALPHA[1](g, {}) for d in (0, 1))}
+
+
 @dataclass(frozen=True)
 class Identity:
     id: str | tuple[str, str]  # a (Bernoulli, Euler) pair along a kind axis
@@ -363,6 +382,12 @@ class Identity:
     lhs: Callable[[Point], Poly2]
     rhs: Callable[[Point], Poly2]
     classical: str | None = None  # id of the q = None instance
+
+    @property
+    def rids(self) -> tuple[str, ...]:
+        """Every report id of the identity, the classical one included."""
+        ids = (self.id,) if isinstance(self.id, str) else self.id
+        return (*ids, self.classical) if self.classical else ids
 
     def points(self, grid: Grid) -> Iterator[tuple[str, dict]]:
         """(report id, parameters) at every point, then at every classical point."""
@@ -382,12 +407,20 @@ def _points(axes, grid: Grid) -> list[dict]:
 
 
 SUITES: dict[str, Callable[[Grid, TableCache], list[IdentityReport]]] = {}
+# each suite's store families at a grid (see TableCache.release)
+READS: dict[str, Callable[[Grid], set]] = {}
 
 
-def _suite(name: str, doc: str, *defs: tuple, verdict_only: bool = False):
+def _suite(name: str, doc: str, *defs: tuple, reads: tuple[str, ...] = (),
+           orders: Callable[[Grid], Iterable[int]] = lambda g: (), verdict_only: bool = False):
     """Register a suite of identities, each given as the fields of an
-    Identity; its checker reports every identity at every point."""
+    Identity; its checker reports every identity at every point.  The suite
+    reads the store families of the sequences and sums named in ``reads``,
+    the tables of ``orders`` at the grid, the brackets named by its report
+    ids and the report parameters."""
     identities = [Identity(*d) for d in defs]
+    families = {"params", *reads, *(r for i in identities for r in i.rids)}
+    READS[name] = lambda g: {*families, *orders(g)}
 
     def check(grid: Grid, cache: TableCache) -> list[IdentityReport]:
         reports = []
@@ -426,6 +459,7 @@ check_addition = _suite(
      lambda c: qconv(c.q, c.n, c.T.y0, lambda j: gauss_exponent(c.q, j))),
     (("be3-x1", "be4-x1"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n].substitute("x", 1),
      lambda c: qconv(c.q, c.n, c.T.x0, _one)),
+    reads=("pair",), orders=lambda g: g.alpha_set,
 )
 check_q_derivative = _suite(
     "lemma2", "Lemma 2: the Jackson-derivative ladder in each variable.",
@@ -433,6 +467,7 @@ check_q_derivative = _suite(
      lambda c: c.down(c.T)),
     (("lemma2-bern-y", "lemma2-eul-y"), (KIND, N1, ALPHA0, Q), lambda c: c.T[c.n].jackson("y", c.q),
      lambda c: c.down(lambda i: c.T[i].scale_var("y", c.q.value if c.q else 1))),
+    orders=lambda g: g.alpha_set,
 )
 check_difference = _suite(
     "lemma3", "Lemma 3: difference equations linking order alpha to order alpha - 1.",
@@ -442,6 +477,7 @@ check_difference = _suite(
      lambda c: 2 * c.Em.x0[c.n]),
     ("be5-x", (N, ALPHA, Q), lambda c: c.B.y0[c.n] - c.B.ym1[c.n], lambda c: c.down(c.Bm.ym1)),
     ("be6-x", (N, ALPHA, Q), lambda c: c.E.y0[c.n] + c.E.ym1[c.n], lambda c: 2 * c.Em.ym1[c.n]),
+    orders=_alpha_orders(),
 )
 check_inversion = _suite(
     "lemma4", "Lemma 4: order-lowering expansions and, at order one, the monomial expansions.",
@@ -451,6 +487,7 @@ check_inversion = _suite(
      lambda c: _be9(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-bern"),
     ("monomial-eul", (N, Q), lambda c: Poly2.monomial(0, c.n),
      lambda c: _be10(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-eul"),
+    orders=_alpha_orders(1),
 )
 check_recurrence = _suite(
     "lemma5", "Lemma 5: the four recurrences with the scaling modulus m.",
@@ -465,16 +502,21 @@ check_recurrence = _suite(
     ("be12-1", (K, ALPHA, M, Q),
      lambda c: c.E[c.k].substitute("x", Fraction(1, c.m)) + c.xsum(c.k, "E.x0"),
      lambda c: 2 * c.xsum(c.k, "Em.x0")),
+    reads=("ysum", "xsum", "P"), orders=_alpha_orders(),
 )
 check_sp1 = _suite(
     "sp1", "Both displays of the Bernoulli-through-Euler addition theorem.",
     ("sp1-1", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "Bm.ym1")),
     ("sp1-2", (N, ALPHA, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "Bm.x0")),
+    reads=("ysum", "xsum", "P", "E1.x0(my)", "E1.y0(mx)"),
+    orders=_alpha_orders(1),
 )
 check_sp2 = _suite(
     "sp2", "Both displays of the Euler-through-Bernoulli addition theorem.",
     ("sp2-1", (N, ALPHA, M, Q), lambda c: c.E[c.n], _sp2_x),
     ("sp2-2", (N, ALPHA, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "Em.ym1")),
+    reads=("ysum", "xsum", "P", "B1.x0(my)", "B1.y0(mx)"),
+    orders=_alpha_orders(1),
 )
 check_corollaries = _suite(
     "corollaries", "The theorems at order one with the order-zero polynomials written out "
@@ -496,12 +538,15 @@ check_corollaries = _suite(
      "classical-euler-c2-1"),
     ("euler-c4-x", (N, Q), lambda c: c.E.y0[c.n], lambda c: _euler_c4(c, c.B.y0)),
     ("euler-c4-y", (N, Q), lambda c: c.E.x0[c.n], lambda c: _euler_c4(c, c.B.x0)),
+    reads=("ysum", "xsum", "P", "pair", "pair_ym1", "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)"),
+    orders=lambda g: (1,),
 )
 check_stirling_theorem = _suite(
     "stirling-theorem", "The unproven mixed classical-Stirling expansion (verdict only): both\n"
     "sides have x-degree at most n, so the n + 2 points x = r/m, with mx integral, decide it.",
     (("stirling-bern", "stirling-eul"), (KIND, N, ALPHA, M, Q),
      lambda c: c.T[c.n].samples("x", Fraction(1, c.m), c.n + 2), _stirling_rhs),
+    reads=("stirling-inner", "falling-row"), orders=lambda g: ALPHA[1](g, {}),
     verdict_only=True,
 )
 check_bernstein = _suite(
@@ -513,6 +558,7 @@ check_bernstein = _suite(
          c.seq("bb1-row", lambda i: c.table(BERN, c.k)[i].substitute("x", 1)
                .scale_var("y", -1).swap(), "q", "k"),
          lambda i: q_stirling2(c.q, i, c.k))),
+    reads=("bb1-row",), orders=lambda g: range(g.n_max + 1),
 )
 check_alpha_zero = _suite(
     "alpha-zero", "Order-zero tables collapse to the symbolic pair power.",
@@ -520,6 +566,7 @@ check_alpha_zero = _suite(
     ("alpha0-bern-y", (N10, Q), lambda c: c.table(BERN, 0).x0[c.n], lambda c: c.ey(c.n)),
     ("alpha0-eul", (N10, Q), lambda c: c.table(EUL, 0)[c.n], lambda c: c.pair(c.n)),
     ("alpha0-eul-y", (N10, Q), lambda c: c.table(EUL, 0).x0[c.n], lambda c: c.ey(c.n)),
+    reads=("pair",), orders=lambda g: (0,),
 )
 
 
@@ -540,10 +587,13 @@ SUITE_ORDER = (*sorted(set(SUITES) - {"exp-inverse"}), "exp-inverse")
 
 def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[IdentityReport]:
     """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order,
-    over one store.  A ``timing`` dict receives each suite's wall seconds,
-    the seconds of them spent building tables and its report count under
-    ``suites`` and the suite's name, and the store's entries, hits and
-    misses under ``run_cache``."""
+    over one store.  The store releases each family of entries (``READS``)
+    once the last suite of the run that reads it has finished, and the rest
+    when it is dropped on return.  A ``timing`` dict receives each suite's
+    wall seconds, the seconds of them spent building tables and its report
+    count under ``suites`` and the suite's name, and under ``run_cache`` the
+    store's entries at the end of the run, the most it held at once, its
+    hits and its misses (the entries it built)."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_ORDER if name == "all" else (name,)
@@ -553,11 +603,16 @@ def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[Identit
     cache = TableCache(max(reach.get(s, grid.n_max) for s in names))
     reports, timing = [], {} if timing is None else timing
     suites = timing["suites"] = {}
+    reads = {s: READS[s](grid) for s in names}
+    last = {family: s for s in names for family in reads[s]}  # its last reader
     for s in names:
         start, built = time.perf_counter(), cache.build_s
         got = SUITES[s](grid, cache)
         reports += got
         suites[s] = {"wall_s": round(time.perf_counter() - start, 6),
                      "tables_s": round(cache.build_s - built, 6), "reports": len(got)}
-    timing["run_cache"] = {"entries": len(cache._store), "hits": cache.hits, "misses": cache.misses}
+        if s != names[-1]:
+            cache.release({family for family in reads[s] if last[family] == s})
+    timing["run_cache"] = {"entries": len(cache._store), "peak_entries": cache.peak_entries,
+                           "hits": cache.hits, "misses": cache.misses}
     return reports

@@ -1,8 +1,8 @@
 """Truncated formal power series in t with polynomial coefficients.
 
-A series stores its raw t^n coefficients c_0..c_N (polynomials in x, y).
-The exponential-generating-function view a_n = c_n * [n]! is provided by
-:func:`egf_coefficient`; keeping raw coefficients makes the reciprocal
+A series stores its raw t^n coefficients c_0..c_N (polynomials in x, y);
+the exponential-generating-function view is a_n = c_n * [n]!, which a
+caller forms itself.  Keeping raw coefficients makes the reciprocal
 recursion and Cauchy products simple.
 
 The constructors accept ``q=None`` for the classical (undeformed) case,
@@ -79,12 +79,6 @@ class Series:
         if not exponent:
             return Series.one(self.order)
         return _power(self if exponent > 0 else self.reciprocal(), abs(exponent))
-
-    def egf_coefficient(self, n: int, q: QParam | None) -> Poly2:
-        """The n-th coefficient in the [n]!-weighted (EGF) view: c_n * [n]!."""
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} outside 0..{self.order}")
-        return self.coeffs[n] * q_factorial(q, n)
 
 
 def eq_series(q: QParam | None, arg: ArgLike, order: int) -> Series:

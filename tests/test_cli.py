@@ -492,9 +492,12 @@ class TestVerify:
                            "--alpha-set", "1,2", "--m-set", "1,2", "--q-set", "1/2")
         assert code == 0
         store = json.loads(out)["meta"]["timing"]["run_cache"]
-        assert set(store) == {"entries", "hits", "misses"}
+        assert set(store) == {"entries", "peak_entries", "hits", "misses"}
         assert 0 < store["misses"] <= store["entries"]
         assert store["hits"] > 0
+        assert 0 < store["peak_entries"]
+        # one suite releases nothing: the store holds at the end all it built
+        assert store["entries"] == store["peak_entries"] == store["misses"]
 
     def test_deterministic_with_no_meta(self, capsys):
         args = (

@@ -256,11 +256,30 @@ def test_each_pair_power_is_built_once_per_run(monkeypatch):
     assert len(calls) == len(set(calls)) == 2 * 11 + 7
 
 
+def record_builds(monkeypatch) -> list[tuple]:
+    """The (key, value) of every entry the run store builds, in build order:
+    the store releases what no later suite reads, so its contents at the end
+    of a run do not show every entry it built."""
+    built = []
+    real = identities.TableCache.once
+
+    def once(cache, key, build):
+        def recorded():
+            value = build()
+            built.append((key, value))
+            return value
+        return real(cache, key, recorded)
+
+    monkeypatch.setattr(identities.TableCache, "once", once)
+    return built
+
+
 def test_each_weighted_sum_is_built_once_per_run(monkeypatch):
     # ysum and xsum are store reads keyed on q, m, what they sum and k, where a
     # table's projection is known by the table's kind and order, so "Bm.ym1" at
     # alpha = 2 reads the sum of "B.ym1" built at alpha = 1; a sum of a
     # difference row is the difference of two sums, so no difference row is summed
+    entries = record_builds(monkeypatch)
     stores, reading, requested, built = [], [], set(), []
     real_store, real_conv = identities.TableCache, identities.qconv
     monkeypatch.setattr(identities, "TableCache",
@@ -283,38 +302,103 @@ def test_each_weighted_sum_is_built_once_per_run(monkeypatch):
         monkeypatch.setattr(identities.Point, name, read)
 
     run_suite("all", SMALL)
-    (store,) = stores
-    sums = [k for k in store._store if k[0] in ("ysum", "xsum")]
+    assert len(stores) == 1
+    sums = [k for k, _ in entries if k[0] in ("ysum", "xsum")]
     assert sums and len(built) == len(sums) < len(requested)
     q = SMALL.q_set[0]
     assert {("ysum", q, 2, 1, "B.ym1", 3), ("ysum", q, 2, 2, "Bm.ym1", 3)} <= requested
-    assert ("ysum", q, 2, "q_bernoulli", 1, "ym1", 3) in store._store
+    assert ("ysum", q, 2, "q_bernoulli", 1, "ym1", 3) in dict(entries)
     assert {k[3] for k in sums} == {"q_bernoulli", "q_euler", "pair_ym1", "ey"}
 
 
 def test_one_table_cache_per_run(monkeypatch):
-    built, stores = [], []
-    real, real_store = identities.family_table, identities.TableCache
+    built = []
+    real = identities.family_table
+    entries = record_builds(monkeypatch)
 
     def counting(spec, max_n):
         built.append((spec, max_n))
         return real(spec, max_n)
 
     monkeypatch.setattr(identities, "family_table", counting)
-    monkeypatch.setattr(identities, "TableCache",
-                        lambda max_n: stores.append(real_store(max_n)) or stores[-1])
     grid = Grid(n_max=3, alpha_set=(1, 2), m_set=(1, 2), q_set=(QParam(F(1, 2)),))
     run_suite("all", grid)
     assert built and len(built) == len(set(built))  # every table built once
     assert {n for _, n in built} == {10}  # as deep as alpha-zero reads
     # each stored table carries the spec of its store key (kind, q, alpha)
-    tables = {k: v for k, v in stores[-1]._store.items() if isinstance(v, PolyTable)}
+    tables = {k: v for k, v in entries if isinstance(v, PolyTable)}
     assert len(tables) == len(built)
     assert all(t.spec == FamilySpec(kind, alpha, q) for (kind, q, alpha), t in tables.items())
     for suite, depth in (("lemma1", 3), ("lemma4", 3), ("sp2", 4)):
         built.clear()
         run_suite(suite, grid)
         assert {n for _, n in built} == {depth}, suite
+
+
+# alpha = 4 is an order both bernstein and the alpha suites read, and 2, 5 and
+# 6 are orders only bernstein reads
+LIFETIME_GRIDS = [SMALL, Grid(6, (0, 1, 4), (1, 2), (QParam(F(1, 2)), QParam(F(-7, 3))))]
+LIFETIME_IDS = ["SMALL", "alpha 0, 1 and 4"]
+
+
+def family(key, value):
+    """The store family of an entry: a table's order, else its key's name."""
+    return key[2] if isinstance(value, PolyTable) else key[0]
+
+
+@pytest.mark.parametrize("grid", LIFETIME_GRIDS, ids=LIFETIME_IDS)
+def test_no_entry_is_built_twice_in_a_run(monkeypatch, grid):
+    # a family released while a later suite still reads it would be built again
+    entries = record_builds(monkeypatch)
+    timing = {}
+    run_suite("all", grid, timing)
+    keys = [k for k, _ in entries]
+    assert keys and timing["run_cache"]["misses"] == len(keys) == len(set(keys))
+
+
+def test_each_family_is_released_after_its_last_reader(monkeypatch):
+    grid = LIFETIME_GRIDS[1]
+    names = identities.SUITE_ORDER
+    reads = {s: identities.READS[s](grid) for s in names}
+    last = {f: s for s in names for f in reads[s]}
+    held = {}  # (suite, "start" or "end") -> the families in the store
+
+    def watched(s, check):
+        def run(grid, cache):
+            held[s, "start"] = {family(*e) for e in cache._store.items()}
+            reports = check(grid, cache)
+            held[s, "end"] = {family(*e) for e in cache._store.items()}
+            return reports
+        return run
+
+    for s, check in list(identities.SUITES.items()):
+        monkeypatch.setitem(identities.SUITES, s, watched(s, check))
+    run_suite("all", grid)
+    released = set()
+    for s, after in zip(names, names[1:]):
+        # exactly the families s read last are dropped as s ends, and none returns
+        done = {f for f in reads[s] if last[f] == s}
+        released |= done
+        assert held[after, "start"] == held[s, "end"] - done, s
+        assert not held[after, "start"] & released, s
+    # bernstein alone reads the bb1 rows and the orders 2, 5 and 6, and no suite
+    # after sp2 reads a weighted sum or a recurrence power
+    assert {2, 5, 6, "bb1-row"} <= held["bernstein", "end"]
+    assert not {2, 5, 6, "bb1-row"} & held["corollaries", "start"]
+    assert {0, 1, 3, 4} <= held["corollaries", "start"]
+    assert {"ysum", "xsum", "P"} <= held["sp2", "end"]
+    assert not {"ysum", "xsum", "P"} & held["stirling-theorem", "start"]
+
+
+@pytest.mark.parametrize("grid", LIFETIME_GRIDS, ids=LIFETIME_IDS)
+def test_each_suite_alone_reports_its_slice_of_all(grid):
+    timing = {}
+    reports = run_suite("all", grid, timing)
+    start = 0
+    for s, t in timing["suites"].items():
+        assert run_suite(s, grid) == reports[start:start + t["reports"]], s
+        start += t["reports"]
+    assert start == len(reports)
 
 
 @pytest.mark.parametrize("suite, axis", [

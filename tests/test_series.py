@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from qbern.poly import Poly2, X, Y
-from qbern.qcore import QParam, q_number, gauss_exponent
+from qbern.qcore import QParam, q_factorial, q_number, gauss_exponent
 from qbern.series import Series, Eq_series, eq_series
 
 Q2 = QParam(F(1, 2))
@@ -121,35 +121,20 @@ class TestExponentials:
         assert Eq_series(None, X, 3) == s  # triangular weight collapses to 1
 
 
-class TestEgfCoefficient:
-    def test_constant_series(self):
-        assert Series.one(3).egf_coefficient(0, Q2) == Poly2.one()
-
-    def test_first_eq_coefficient(self):
-        assert eq_series(Q2, X, 2).egf_coefficient(1, Q2) == X
-
-    def test_second_big_eq_coefficient(self):
-        assert Eq_series(Q2, Y, 2).egf_coefficient(2, Q2) == F(1, 2) * Y**2
-
-    def test_index_bounds(self):
-        with pytest.raises(IndexError):
-            Series.one(2).egf_coefficient(3, Q2)
-
-
 class TestDerivativeLadders:
     def test_small_exponential_is_fixed_point(self):
         # D_q applied to coefficient n of e(tx) gives [n] times coefficient n-1
         for q in QS:
             s = eq_series(q, X, 10)
             for n in range(1, 11):
-                a_n = s.egf_coefficient(n, q)
-                a_prev = s.egf_coefficient(n - 1, q)
+                a_n = s.coeffs[n] * q_factorial(q, n)
+                a_prev = s.coeffs[n - 1] * q_factorial(q, n - 1)
                 assert a_n.jackson("x", q) == q_number(q, n) * a_prev
 
     def test_big_exponential_picks_up_q_shift(self):
         for q in QS:
             s = Eq_series(q, Y, 10)
             for n in range(1, 11):
-                a_n = s.egf_coefficient(n, q)
-                shifted_prev = s.egf_coefficient(n - 1, q).scale_var("y", q.value)
+                a_n = s.coeffs[n] * q_factorial(q, n)
+                shifted_prev = (s.coeffs[n - 1] * q_factorial(q, n - 1)).scale_var("y", q.value)
                 assert a_n.jackson("y", q) == q_number(q, n) * shifted_prev
