@@ -238,7 +238,6 @@ def _verify_payload(args) -> dict:
     if not reports:
         raise CliError(f"suite {args.suite} checks no identity on this grid")
     verdicts = [r for r in reports if r.verdict_only]
-    holding = sum(r.passed for r in verdicts)
     payload = {
         "suite": args.suite,
         "grid": {
@@ -252,11 +251,9 @@ def _verify_payload(args) -> dict:
         "reports": [_report_obj(r) for r in reports],
     }
     if verdicts:
-        payload["verdicts"] = {
-            "recorded": len(verdicts),
-            "holding": holding,
-            "failing": len(verdicts) - holding,
-        }
+        holding = sum(r.passed for r in verdicts)
+        payload["verdicts"] = {"recorded": len(verdicts), "holding": holding,
+                               "failing": len(verdicts) - holding}
     return payload
 
 

@@ -21,13 +21,15 @@ only until the last suite of the run that reads it has finished.  Every
 ``c.B`` is a store read, so a formula that reads a table at each index
 binds it once, as a local or as a lambda default (``lambda j, B=c.B: ...``).
 ``q = None`` is the classical limit (see ``qcore``), so a classical q -> 1
-instance of a q-identity is that definition at q = None.
+instance of a q-identity is that definition at q = None.  The alpha axis
+takes every integer of the grid's alpha set, alpha <= 0 included.
 
 A few printed formulas in the source material carry typos.  Corrections
 are data, not silent edits: every corrected identity carries a
 ``correction_applied`` string naming the fix (see CORRECTIONS), and each
 correction was confirmed against the generating-function machinery
-before being frozen here.
+before being frozen here.  VERDICT_ONLY is data too: the ids of
+unproven statements, whose reports record their verdict and gate nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ CORRECTIONS: dict[str, str] = {
     "produces [n choose k] b_{n,k}; the final display drops the factor)",
 }
 
+VERDICT_ONLY = frozenset({"stirling-bern", "stirling-eul"})  # unproven: recorded, not gated
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -75,8 +79,6 @@ class Grid:
             raise ValueError("n_max must be at least 2")
         if not (self.alpha_set and self.m_set and self.q_set):
             raise ValueError("alpha_set, m_set and q_set must be nonempty")
-        if any(a < 0 for a in self.alpha_set):
-            raise ValueError("alpha values must be nonnegative integers")
         if any(m < 1 for m in self.m_set):
             raise ValueError("m values must be positive integers")
         if any(len(set(v)) != len(v) for v in (self.alpha_set, self.m_set, self.q_set)):
@@ -98,7 +100,6 @@ class IdentityReport:
     identity_id: str
     params: tuple[tuple[str, str], ...]
     residual: Poly2
-    verdict_only: bool = False  # unproven statement: record, don't gate
 
     @property
     def passed(self) -> bool:
@@ -107,6 +108,10 @@ class IdentityReport:
     @property
     def correction_applied(self) -> str | None:
         return CORRECTIONS.get(self.identity_id)
+
+    @property
+    def verdict_only(self) -> bool:
+        return self.identity_id in VERDICT_ONLY
 
     def sort_key(self) -> tuple:
         return (self.identity_id, self.params)
@@ -363,16 +368,15 @@ N1 = ("n", lambda g, p: range(1, g.n_max + 1))
 N10 = ("n", lambda g, p: range(max(g.n_max, 10) + 1))
 K = ("k", N[1])
 K_N = ("k", lambda g, p: range(p["n"] + 1))
-ALPHA = ("alpha", lambda g, p: [a for a in g.alpha_set if a >= 1])
-ALPHA0 = ("alpha", lambda g, p: g.alpha_set)
+ALPHA = ("alpha", lambda g, p: g.alpha_set)
 M = ("m", lambda g, p: g.m_set)
 Q = ("q", lambda g, p: g.q_set)
 ORDER = ("order", lambda g, p: (g.n_max,))
 
 
 def _alpha_orders(*fixed: int) -> Callable[[Grid], set[int]]:
-    """The table orders alpha and alpha - 1 at the ALPHA axis's values, and ``fixed``."""
-    return lambda g: {*fixed, *(a - d for a in ALPHA[1](g, {}) for d in (0, 1))}
+    """The table orders alpha and alpha - 1 at the grid's alpha values, and ``fixed``."""
+    return lambda g: {*fixed, *(a - d for a in g.alpha_set for d in (0, 1))}
 
 
 @dataclass(frozen=True)
@@ -412,7 +416,7 @@ READS: dict[str, Callable[[Grid], set]] = {}
 
 
 def _suite(name: str, doc: str, *defs: tuple, reads: tuple[str, ...] = (),
-           orders: Callable[[Grid], Iterable[int]] = lambda g: (), verdict_only: bool = False):
+           orders: Callable[[Grid], Iterable[int]] = lambda g: ()):
     """Register a suite of identities, each given as the fields of an
     Identity; its checker reports every identity at every point.  The suite
     reads the store families of the sequences and sums named in ``reads``,
@@ -434,8 +438,7 @@ def _suite(name: str, doc: str, *defs: tuple, reads: tuple[str, ...] = (),
                 # in 1..10)
                 shown = tuple(zip(params, map(str, params.values())))
                 shown = cache.once(("params", *shown), lambda: shown)
-                reports.append(IdentityReport(rid, shown, ident.lhs(c) - ident.rhs(c),
-                                              verdict_only))
+                reports.append(IdentityReport(rid, shown, ident.lhs(c) - ident.rhs(c)))
         return sorted(reports, key=IdentityReport.sort_key)
 
     check.__doc__ = doc
@@ -445,27 +448,27 @@ def _suite(name: str, doc: str, *defs: tuple, reads: tuple[str, ...] = (),
 
 check_addition = _suite(
     "lemma1", "Lemma 1: addition theorems and their x/y = 0 and x/y = 1 specializations.",
-    ("lemma1-pair", (KIND, N, ALPHA0, Q), lambda c: c.T[c.n],
+    ("lemma1-pair", (KIND, N, ALPHA, Q), lambda c: c.T[c.n],
      lambda c: qconv(c.q, c.n, c.T.num, c.pair)),
-    (("be1-y", "be2-y"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n],
+    (("be1-y", "be2-y"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n],
      lambda c: qconv(c.q, c.n, c.T.y0, c.ey)),
-    (("be1-x", "be2-x"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n],
+    (("be1-x", "be2-x"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n],
      lambda c: qconv(c.q, c.n, c.T.x0, _x)),
-    (("be7-x", "be8-x"), (KIND, N, ALPHA0, Q), lambda c: c.T.y0[c.n],
+    (("be7-x", "be8-x"), (KIND, N, ALPHA, Q), lambda c: c.T.y0[c.n],
      lambda c: qconv(c.q, c.n, c.T.num, _x)),
-    (("be7-y", "be8-y"), (KIND, N, ALPHA0, Q), lambda c: c.T.x0[c.n],
+    (("be7-y", "be8-y"), (KIND, N, ALPHA, Q), lambda c: c.T.x0[c.n],
      lambda c: qconv(c.q, c.n, c.T.num, c.ey)),
-    (("be3-y1", "be4-y1"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n].substitute("y", 1),
+    (("be3-y1", "be4-y1"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n].substitute("y", 1),
      lambda c: qconv(c.q, c.n, c.T.y0, lambda j: gauss_exponent(c.q, j))),
-    (("be3-x1", "be4-x1"), (KIND, N, ALPHA0, Q), lambda c: c.T[c.n].substitute("x", 1),
+    (("be3-x1", "be4-x1"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n].substitute("x", 1),
      lambda c: qconv(c.q, c.n, c.T.x0, _one)),
     reads=("pair",), orders=lambda g: g.alpha_set,
 )
 check_q_derivative = _suite(
     "lemma2", "Lemma 2: the Jackson-derivative ladder in each variable.",
-    (("lemma2-bern-x", "lemma2-eul-x"), (KIND, N1, ALPHA0, Q), lambda c: c.T[c.n].jackson("x", c.q),
+    (("lemma2-bern-x", "lemma2-eul-x"), (KIND, N1, ALPHA, Q), lambda c: c.T[c.n].jackson("x", c.q),
      lambda c: c.down(c.T)),
-    (("lemma2-bern-y", "lemma2-eul-y"), (KIND, N1, ALPHA0, Q), lambda c: c.T[c.n].jackson("y", c.q),
+    (("lemma2-bern-y", "lemma2-eul-y"), (KIND, N1, ALPHA, Q), lambda c: c.T[c.n].jackson("y", c.q),
      lambda c: c.down(lambda i: c.T[i].scale_var("y", c.q.value if c.q else 1))),
     orders=lambda g: g.alpha_set,
 )
@@ -546,8 +549,7 @@ check_stirling_theorem = _suite(
     "sides have x-degree at most n, so the n + 2 points x = r/m, with mx integral, decide it.",
     (("stirling-bern", "stirling-eul"), (KIND, N, ALPHA, M, Q),
      lambda c: c.T[c.n].samples("x", Fraction(1, c.m), c.n + 2), _stirling_rhs),
-    reads=("stirling-inner", "falling-row"), orders=lambda g: ALPHA[1](g, {}),
-    verdict_only=True,
+    reads=("stirling-inner", "falling-row"), orders=lambda g: g.alpha_set,
 )
 check_bernstein = _suite(
     "bernstein", "Bernstein-basis expansion through q-Stirling numbers.",

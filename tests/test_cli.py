@@ -448,11 +448,19 @@ class TestVerify:
         assert (code, out, err) == (4, "", "internal error: MemoryError: \n")
         assert not target.exists()
 
-    def test_run_checking_nothing_is_usage_error(self, capsys):
+    def test_run_checking_nothing_is_usage_error(self, capsys, monkeypatch):
+        # every valid grid gives every suite a point: lemma3 checks order 0 too
+        code, out, _ = run(capsys, "verify", "--suite", "lemma3", "--alpha-set", "0",
+                           "--no-meta")
+        payload = json.loads(out)["payload"]
+        assert (code, payload["total"], payload["failures"]) == (0, 108, 0)
+        # so only a run that returns no report reaches the guard
+        real = qbern.cli.run_suite
+        monkeypatch.setattr(qbern.cli, "run_suite", lambda *args: real(*args)[:0])
         code, out, err = run(capsys, "verify", "--suite", "lemma3", "--alpha-set", "0")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and "checks no identity" in err
 
     def test_small_grid_output_digest(self, capsys, tmp_path):
         # pins every report id, parameter order and residual on a small grid

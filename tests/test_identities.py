@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qbern import identities
 from qbern.identities import (
     CORRECTIONS,
+    VERDICT_ONLY,
     Grid,
     Identity,
     default_grid,
@@ -22,6 +23,9 @@ SMALL = Grid(
     m_set=(1, 2),
     q_set=(QParam(F(1, 2)), QParam(F(3, 4))),
 )
+# every order up to zero: an order alpha <= 0 table is a power of the kernel's base
+NONPOSITIVE = Grid(n_max=5, alpha_set=(-3, -2, -1, 0), m_set=(1, 2),
+                   q_set=(QParam(F(1, 2)), QParam(F(-7, 3))))
 
 GATED_SUITES = [
     "lemma1",
@@ -39,10 +43,11 @@ GATED_SUITES = [
 
 @pytest.mark.parametrize("suite", GATED_SUITES)
 def test_suite_has_no_failures(suite):
-    reports = run_suite(suite, SMALL)
-    assert reports
-    bad = [r for r in reports if not r.passed]
-    assert bad == []
+    for grid in (SMALL, NONPOSITIVE):
+        reports = run_suite(suite, grid)
+        assert reports
+        bad = [r for r in reports if not r.passed]
+        assert bad == []
 
 
 def test_reports_hold_only_their_residual():
@@ -82,10 +87,13 @@ def test_corrections_surface_in_reports():
 
 
 def test_every_correction_names_a_checked_id():
-    # a correction whose id no check reports (a renamed identity, say) would
-    # drop its note silently; classical twins report under their own ids
-    ids = {r.identity_id for r in run_suite("all", SMALL)}
+    # a correction or verdict-only id that no check reports (a renamed
+    # identity, say) would drop its note or gate its statement silently;
+    # classical twins report under their own ids
+    reports = run_suite("all", SMALL)
+    ids = {r.identity_id for r in reports}
     assert set(CORRECTIONS) - ids == set()
+    assert {r.identity_id for r in reports if r.verdict_only} == VERDICT_ONLY
 
 
 def test_stirling_theorem_produces_verdict_not_gate():
@@ -140,8 +148,7 @@ def test_grid_validation():
         Grid(n_max=4, alpha_set=(), m_set=(1,), q_set=q)
     with pytest.raises(ValueError):
         Grid(n_max=4, alpha_set=(1,), m_set=(0,), q_set=q)
-    with pytest.raises(ValueError):
-        Grid(n_max=4, alpha_set=(-1,), m_set=(1,), q_set=q)
+    assert Grid(n_max=4, alpha_set=(-1,), m_set=(1,), q_set=q).alpha_set == (-1,)
     with pytest.raises(ValueError):
         Grid(n_max=4, alpha_set=(1, 2, 1), m_set=(1,), q_set=q)
     with pytest.raises(ValueError):
@@ -218,8 +225,9 @@ def recursive_points(axes, grid, bound=()):
         yield from recursive_points(rest, grid, (*bound, (key, v)))
 
 
-@pytest.mark.parametrize("grid", [SMALL, Grid(3, (0, 2), (1, 3), (None, QParam(F(-7, 3))))],
-                         ids=["SMALL", "alpha 0 and the classical point"])
+@pytest.mark.parametrize("grid", [SMALL, Grid(3, (0, 2), (1, 3), (None, QParam(F(-7, 3)))),
+                                  Grid(3, (-2, -1), (2,), (QParam(F(1, 2)),))],
+                         ids=["SMALL", "alpha 0 and the classical point", "alpha below 0"])
 def test_points_match_a_recursive_enumeration(monkeypatch, grid):
     # every suite's identities, collected by running each suite with no points
     seen = []
@@ -239,7 +247,7 @@ def test_points_match_a_recursive_enumeration(monkeypatch, grid):
 
 
 def test_every_suite_runs_at_the_classical_point():
-    grid = Grid(4, (0, 1, 2), (1, 2), (None,))
+    grid = Grid(4, (-1, 0, 1, 2), (1, 2), (None,))
     for suite in identities.SUITE_ORDER:
         reports = run_suite(suite, grid)
         assert reports, suite
@@ -336,9 +344,10 @@ def test_one_table_cache_per_run(monkeypatch):
 
 
 # alpha = 4 is an order both bernstein and the alpha suites read, and 2, 5 and
-# 6 are orders only bernstein reads
-LIFETIME_GRIDS = [SMALL, Grid(6, (0, 1, 4), (1, 2), (QParam(F(1, 2)), QParam(F(-7, 3))))]
-LIFETIME_IDS = ["SMALL", "alpha 0, 1 and 4"]
+# 6 are orders only bernstein reads; alpha = -2 reads the orders -2 and -3
+LIFETIME_GRIDS = [SMALL, Grid(6, (0, 1, 4), (1, 2), (QParam(F(1, 2)), QParam(F(-7, 3)))),
+                  Grid(6, (-2, 0, 1, 4), (1, 2), (QParam(F(1, 2)), QParam(F(-7, 3))))]
+LIFETIME_IDS = ["SMALL", "alpha 0, 1 and 4", "alpha -2, 0, 1 and 4"]
 
 
 def family(key, value):
