@@ -12,10 +12,15 @@ given.  A command's payload carries its polynomials as ``Poly2`` values;
 each writer formats one where it writes it, from its integers
 (``Poly2.term_ratios``).  Output is streamed: the writer puts each chunk
 into --out, or stdout, as it formats it, so no output-sized string is
-ever held.  --out is opened before the command computes; if computing,
-formatting or writing fails, an --out that is a regular file is removed (a
-symlink or device is left alone), and what was already written to stdout
-stays there; the exit code is that of the error.
+ever held.  A table is streamed from its source too: its entries (or
+rows) are a lazy sequence, each built when the writer reaches it and
+dropped once written, so no command holds a whole table.  The JSON meta
+block follows the payload, as a table's build time is known only once
+its last entry is built.  --out is opened before the command computes; if
+computing, formatting or writing fails, an --out that is a regular file
+is removed (a symlink or device is left alone), and what was already
+written to stdout stays there, a table's earlier entries included; the
+exit code is that of the error.
 
 Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
 3 domain errors (e.g. q = 1, or a value too large for its decimal
@@ -38,8 +43,10 @@ import re
 import stat
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from types import GeneratorType
 
 from . import __version__
 from .poly import Poly2
@@ -48,7 +55,7 @@ from .identities import Grid, IdentityReport, SUITE_ORDER, default_grid, run_sui
 from .qspecial import (
     FamilySpec,
     classical_limit_errors,
-    family_table,
+    family_entries,
     is_monotone_decreasing,
     q_bernstein,
     q_stirling2_rows,
@@ -73,23 +80,32 @@ def poly_terms(p: Poly2, base: int = 1) -> list[dict]:
     """The terms of ``p`` as rows; a coefficient is ``"n"`` or ``"n/d"`` in
     lowest terms, formatted from its integers with no ``Fraction`` built."""
     return [
-        {"dx": dx, "dy": dy, "coeff": f"{n}/{d}" if d != 1 else str(n)}
-        for (dx, dy), n, d in p.term_ratios(base)
+        {"dx": dx, "dy": dy, "coeff": _ratio(n, d)} for (dx, dy), n, d in p.term_ratios(base)
     ]
+
+
+def _ratio(n: int, d: int) -> str:
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
 def poly_latex(p: Poly2, base: int = 1) -> str:
     """LaTeX for ``p``, built from the integers of its ``term_ratios(base)``."""
-    out = ""
+    return "".join(_latex_chunks(p, base))
+
+
+def _latex_chunks(p: Poly2, base: int) -> Iterator[str]:
+    """``poly_latex(p, base)`` one signed term at a time."""
+    lead = True
     for (dx, dy), n, d in p.term_ratios(base):
         mono = "".join(v if e == 1 else f"{v}^{{{e}}}" for v, e in (("x", dx), ("y", dy)) if e)
         if d != 1:
             coeff = f"\\frac{{{abs(n)}}}{{{d}}}"
         else:  # a unit coefficient of a monomial keeps just its sign
             coeff = "" if mono and abs(n) == 1 else str(abs(n))
-        out += (" - " if out else "-") if n < 0 else (" + " if out else "")
-        out += coeff + mono
-    return out or "0"
+        yield (("-" if lead else " - ") if n < 0 else ("" if lead else " + ")) + coeff + mono
+        lead = False
+    if lead:
+        yield "0"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -127,6 +143,8 @@ def _q(args) -> QParam | None:
 
 
 def _table_payload(args) -> dict:
+    """The table's payload, its entries or rows a stream that builds each one
+    as the writer asks for it; ``args.timing`` gets ``build_s`` once the stream ends."""
     family, n_max = args.family, args.n_max
     if n_max < 0:
         raise CliError("--n-max must be nonnegative")
@@ -137,39 +155,53 @@ def _table_payload(args) -> dict:
     payload: dict = {"family": family, "n_max": n_max}
     if q is not None:
         payload["q"] = str(q)
+    name = "entries"
     if family in KINDS:
         alpha = payload["alpha"] = 1 if args.alpha is None else args.alpha
-        table = family_table(FamilySpec(KINDS[family], alpha, q), n_max)
-        payload["entries"] = [{"n": n, "poly": p} for n, p in enumerate(table.entries)]
+        entries = family_entries(FamilySpec(KINDS[family], alpha, q), n_max)
+        items = ({"n": n, "poly": p} for n, p in enumerate(entries))
+    elif family == "qbernstein":
+        items = ({"n": n, "k": k, "poly": q_bernstein(q, n, k)}
+                 for n in range(n_max + 1) for k in range(n + 1))
     else:
-        # the (n, k) triangles: q-Bernstein polynomials or q-Stirling numbers
-        if family == "qbernstein":
-            name, key, cell = "entries", "poly", lambda n, k: q_bernstein(q, n, k)
-        else:
-            # one build of the triangle serves every row, and the memo keeps none of it
-            rows = [tuple(map(Fraction, *row)) for row in q_stirling2_rows(q, n_max)]
-            name, key = "rows", "value"
-            cell = lambda n, k: str(rows[n][k])
-        payload[name] = [
-            {"n": n, "k": k, key: cell(n, k)} for n in range(n_max + 1) for k in range(n + 1)
-        ]
-    # meta is written before the payload, so the time to format and write it is not here
-    args.timing = {"build_s": round(time.perf_counter() - start, 6)}
+        # one build of the triangle serves every row, and the memo keeps none of it
+        name = "rows"
+        items = ({"n": n, "k": k, "value": str(v)}
+                 for n, row in enumerate(q_stirling2_rows(q, n_max))
+                 for k, v in enumerate(map(Fraction, *row)))
+    args.timing = {}
+    payload[name] = _timed(items, args.timing, time.perf_counter() - start)
     return payload
 
 
-def _flat(payload: dict) -> tuple[str, list[tuple[str, str | Poly2]]]:
-    """The index columns of a table and its (index, value) rows, in order.
+def _timed(items: Iterator[dict], timing: dict, spent: float) -> Iterator[dict]:
+    """The items, with the seconds spent building each one added to ``spent``;
+    ``timing["build_s"]`` is the sum once the last one is built, before the
+    writer reaches the meta block, which follows the payload."""
+    while True:
+        start = time.perf_counter()
+        item = next(items, None)
+        spent += time.perf_counter() - start
+        if item is None:
+            break
+        yield item
+    timing["build_s"] = round(spent, 6)
+
+
+def _flat(payload: dict) -> tuple[str, Iterator[tuple[str, str | Poly2]]]:
+    """The index columns of a table and its (index, value) rows, in order,
+    each built as the writer asks for it.
 
     The index is ``n``, or ``n,k`` whenever the entries carry k; a value is
     a number string or a polynomial.
     """
-    items = payload["rows"] if "rows" in payload else payload["entries"]
-    cols = ("n", "k") if "k" in items[0] else ("n",)
-    return ",".join(cols), [
+    items = iter(payload["rows"] if "rows" in payload else payload["entries"])
+    first = next(items)  # every table has an entry at n = 0
+    cols = ("n", "k") if "k" in first else ("n",)
+    return ",".join(cols), (
         (",".join(str(e[c]) for c in cols), e["value"] if "value" in e else e["poly"])
-        for e in items
-    ]
+        for e in chain([first], items)
+    )
 
 
 def _table_csv(payload: dict, put, base: int) -> None:
@@ -177,8 +209,8 @@ def _table_csv(payload: dict, put, base: int) -> None:
     put(f"{cols},value\n" if "rows" in payload else f"{cols},dx,dy,coeff\n")
     for index, value in rows:
         if isinstance(value, Poly2):
-            for t in poly_terms(value, base):
-                put(f"{index},{t['dx']},{t['dy']},{t['coeff']}\n")
+            for (dx, dy), n, d in value.term_ratios(base):
+                put(f"{index},{dx},{dy},{_ratio(n, d)}\n")
         else:
             put(f"{index},{value}\n")
 
@@ -188,8 +220,12 @@ def _table_latex(payload: dict, put, base: int) -> None:
     for index, value in _flat(payload)[1]:
         label = f"({index})" if "," in index else index
         if isinstance(value, Poly2):
-            value = f"${poly_latex(value, base)}$"
-        put(f"{label} & {value} \\\\\n")
+            put(f"{label} & $")
+            for chunk in _latex_chunks(value, base):
+                put(chunk)
+            put("$ \\\\\n")
+        else:
+            put(f"{label} & {value} \\\\\n")
     put("\\end{tabular}\n")
 
 
@@ -330,7 +366,8 @@ _string = json.encoder.encode_basestring_ascii
 def _json(doc: dict | list, put, base: int = 1) -> None:
     """Put ``json.dumps(doc, indent=2) + "\\n"`` into ``put``, byte for byte,
     for a document of dicts with string keys, lists, strings, ints, floats,
-    bools and None, chunk by chunk as it is formatted.  A ``Poly2`` leaf
+    bools and None, chunk by chunk as it is formatted.  A generator is
+    written as the list of its items, each read as it is written.  A ``Poly2`` leaf
     is written as its ``poly_terms(p, base)`` rows.
 
     With ``indent`` set, ``json.dumps`` leaves its C encoder for a
@@ -342,15 +379,14 @@ def _json(doc: dict | list, put, base: int = 1) -> None:
     # ``write`` is handed itself rather than naming itself from the enclosing
     # scope: a closure that names itself is a reference cycle, which keeps
     # ``put`` alive after the write, until the garbage collector runs
-    def write(v: dict | list, head: str, nl: str, write) -> None:
+    def write(v: dict | list | GeneratorType, head: str, nl: str, write) -> None:
         """``head`` and then the container ``v``, whose closing line starts with ``nl``."""
         is_dict = isinstance(v, dict)
-        if not v:
-            put(head + ("{}" if is_dict else "[]"))
-            return
-        put(head + ("{" if is_dict else "["))
         inner = nl + "  "
-        sep, comma = inner, "," + inner
+        # the opening bracket goes out with the first item, so that a generator
+        # is read once and, if it turns out empty, still written as []
+        opening = sep = head + ("{" if is_dict else "[") + inner
+        comma = "," + inner
         for k, x in v.items() if is_dict else zip(repeat(None), v):
             h = f"{sep}{_string(k)}: " if is_dict else sep
             sep = comma
@@ -358,26 +394,26 @@ def _json(doc: dict | list, put, base: int = 1) -> None:
                 put(h + _string(x))
             elif type(x) is int:
                 put(h + int.__repr__(x))
-            elif isinstance(x, (dict, list, tuple)):
+            elif isinstance(x, (dict, list, tuple, GeneratorType)):
                 write(x, h, inner, write)
             elif isinstance(x, Poly2):
-                terms = x.term_ratios(base)
-                if not terms:
-                    put(h + "[]")
-                    continue
-                # a term row is an indent-2 {"dx", "dy", "coeff"} object one level in
+                # a term row is an indent-2 {"dx", "dy", "coeff"} object one level in; the
+                # term list is dropped after its loop, before the next item is built
                 item = inner + "  "
                 key = item + "  "
-                row = h + "[" + item
-                for (dx, dy), n, d in terms:
+                first = row = h + "[" + item
+                for (dx, dy), n, d in x.term_ratios(base):
                     put(f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}/{d}"{item}}}'
                         if d != 1 else
                         f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}"{item}}}')
                     row = "," + item
-                put(inner + "]")
+                put(h + "[]" if row is first else inner + "]")
             else:  # a float, bool or None; any other type is json's TypeError
                 put(h + json.dumps(x))
-        put(nl + ("}" if is_dict else "]"))
+        if sep is opening:
+            put(head + ("{}" if is_dict else "[]"))
+        else:
+            put(nl + ("}" if is_dict else "]"))
 
     write(doc, "", "\n", write)
     put("\n")
@@ -388,12 +424,15 @@ WRITERS = {"json": _json, "csv": _table_csv, "latex": _table_latex}
 
 
 def _emit(argv: list[str], args, payload: dict, put) -> None:
-    """Put the table in its --format, or JSON under a meta block unless --no-meta, into ``put``."""
+    """Put the table in its --format, or JSON with a meta block after the payload
+    unless --no-meta, into ``put``.  ``args.timing`` is read when the writer reaches
+    the meta block, after the payload's last item is built."""
     fmt = getattr(args, "format", "json")
     base = Fraction(payload["q"]).denominator if "q" in payload else 1  # for term_ratios
     doc = payload
     if fmt == "json":
         doc = {"payload": payload} if args.no_meta else {
+            "payload": payload,
             "meta": {
                 "tool": "qbern",
                 "version": __version__,
@@ -401,7 +440,6 @@ def _emit(argv: list[str], args, payload: dict, put) -> None:
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 **({"timing": args.timing} if "timing" in vars(args) else {}),
             },
-            "payload": payload,
         }
     WRITERS[fmt](doc, put, base)
 

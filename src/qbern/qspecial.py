@@ -10,8 +10,11 @@ kernel is the alpha-th power of the order-1 one, so both factors are built
 once per (q, order) and kept in ``qcore.scalar_memo``: the tables of both
 kinds and every order at one q share them.  A negative order is a power of
 the kernel's base, which needs no reciprocal.  Each entry is summed from the
-two factors' coefficients and scaled by [n]! as it is built, so a table is
-never held twice, as its product series and as its entries.  Triangular
+two factors' coefficients and scaled by [n]! as it is built, so the product
+series is never held.  ``family_entries`` yields the entries one at a time, so
+a caller that writes or reads each once (the CLI's ``table`` and ``limit``)
+never holds the table; ``family_table`` keeps them all, for the identity
+checks that read a table over and over.  Triangular
 recurrences for the number sequences, summed in integers, are the test
 oracles; the numbers themselves are read from the one-variable kernel
 series, since e(0) = E(0) = 1.  q-Stirling numbers are computed by their
@@ -99,19 +102,26 @@ def _exp_pair(q: QParam | None, order: int) -> Series:
     return eq_series(q, X, order) * Eq_series(q, Y, order)
 
 
-def family_table(spec: FamilySpec, max_n: int) -> PolyTable:
+def family_entries(spec: FamilySpec, max_n: int) -> Iterator[Poly2]:
     """Entries 0..max_n of the full bivariate generating series
-    kernel^alpha * e(tx) * E(ty), in the [n]!-weighted view.  Entry n is
-    built from the two factors alone, one index at a time, so the product
-    series is never held beside the finished entries."""
+    kernel^alpha * e(tx) * E(ty), in the [n]!-weighted view, one at a time.
+
+    ``max_n`` is checked and the two factors are built when this is called;
+    entry n, [n]! sum_k kern[k] ex[n-k], is built only when it is asked for,
+    so a caller that drops each entry before asking for the next never holds
+    the table, and the product series is never held at all."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     q = spec.q
     kern = _kernel(spec.kind, q, spec.order_alpha, max_n).coeffs
     ex = scalar_memo(_exp_pair, q, max_n).coeffs
-    return PolyTable(spec, tuple(
-        Poly2.linear_combination((1, kern[k], ex[n - k]) for k in range(n + 1))
-        * q_factorial(q, n) for n in range(max_n + 1)))
+    return (Poly2.linear_combination((1, kern[k], ex[n - k]) for k in range(n + 1))
+            * q_factorial(q, n) for n in range(max_n + 1))
+
+
+def family_table(spec: FamilySpec, max_n: int) -> PolyTable:
+    """Entries 0..max_n of ``family_entries(spec, max_n)``, held as a table."""
+    return PolyTable(spec, tuple(family_entries(spec, max_n)))
 
 
 def q_bernoulli_table(q: QParam, alpha: int, max_n: int) -> PolyTable:
@@ -239,12 +249,14 @@ def classical_limit_errors(
 ) -> list[Fraction]:
     """|family_n,q(x, 0) - classical_n(x)| along a sequence of q values."""
     x = _rational(x)
-    classical = family_table(FamilySpec(kind, alpha, None), n)[n].evaluate(x, 0)
-    out = []
-    for q in q_seq:
-        val = family_table(FamilySpec(kind, alpha, q), n)[n].evaluate(x, 0)
-        out.append(abs(val - classical))
-    return out
+    classical = _last_entry(FamilySpec(kind, alpha, None), n).evaluate(x, 0)
+    return [abs(_last_entry(FamilySpec(kind, alpha, q), n).evaluate(x, 0) - classical)
+            for q in q_seq]
+
+
+def _last_entry(spec: FamilySpec, n: int) -> Poly2:
+    """Entry n, the last of the stream, with each earlier one dropped as it is built."""
+    return deque(family_entries(spec, n), maxlen=1)[0]
 
 
 def is_monotone_decreasing(errors: list[Fraction]) -> bool:

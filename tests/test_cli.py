@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,7 +21,7 @@ from qbern.cli import KINDS, _json, main, poly_latex, poly_terms
 from qbern.identities import SUITE_ORDER, default_grid
 from qbern.poly import Poly2, X, Y
 from qbern.qcore import QParam
-from qbern.qspecial import q_bernoulli_table
+from qbern.qspecial import FamilySpec, family_table, q_bernoulli_table
 
 
 def run(capsys, *argv):
@@ -104,14 +105,24 @@ class TestTable:
     @pytest.mark.parametrize("family", ["qeuler", "qstirling", "qbernstein"])
     def test_build_time_in_meta_only(self, capsys, family):
         args = ("table", "--family", family, "--n-max", "4", "--q", "3/4")
+        start = time.perf_counter()
         code, out, _ = run(capsys, *args)
+        wall_s = time.perf_counter() - start
         assert code == 0
         doc = json.loads(out)
+        # the meta block follows the payload, as the build time is known only
+        # once the last entry is built
+        assert list(doc) == ["payload", "meta"]
         assert list(doc["meta"]["timing"]) == ["build_s"]
-        assert doc["meta"]["timing"]["build_s"] >= 0
+        assert 0 <= doc["meta"]["timing"]["build_s"] <= wall_s
         _, bare, _ = run(capsys, *args, "--no-meta")
         assert json.loads(bare) == {"payload": doc["payload"]}
         assert "timing" not in bare
+        # and every command writes its document in that one layout
+        for argv in (("verify", "--suite", "exp-inverse", "--n-max", "2"),
+                     ("limit", "--family", "qeuler", "--n", "2")):
+            code, out, _ = run(capsys, *argv)
+            assert (code, list(json.loads(out))) == (0, ["payload", "meta"])
 
     def test_csv(self, capsys):
         code, out, _ = run(
@@ -434,7 +445,7 @@ class TestVerify:
         assert err == "internal error: RuntimeError: boom\n"
 
     @pytest.mark.parametrize("argv, builder", [
-        (("table", "--family", "qeuler", "--q", "1/2", "--n-max", "3"), "family_table"),
+        (("table", "--family", "qeuler", "--q", "1/2", "--n-max", "3"), "family_entries"),
         (("verify", "--suite", "exp-inverse"), "run_suite"),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_out_of_memory_is_internal_error(self, capsys, monkeypatch, tmp_path, argv, builder):
@@ -756,6 +767,87 @@ class TestStreaming:
         assert written > 2_800_000
         assert peak < written / 4, (peak, written)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+    def test_table_is_written_without_holding_the_table(self, tmp_path, fmt):
+        # each entry is built, written and dropped before the next is built, so
+        # writing the table takes well under what the finished table holds
+        spec = FamilySpec("q_bernoulli", 1, QParam(F(7, 11)))
+        target = tmp_path / "t"
+
+        def argv(n_max):
+            return ["table", "--family", "qbernoulli", "--n-max", n_max, "--q", "7/11",
+                    "--format", fmt, "--out", str(target)]
+
+        # a small run and a first build import and memoize what is not the table's
+        assert main(argv("2")) == 0
+        family_table(spec, 30)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = family_table(spec, 30)
+            held = tracemalloc.get_traced_memory()[0] - before
+            del table
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv("30")) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < held / 2, (peak, held)
+
+    def test_a_pipe_closed_mid_table_stops_the_builds(self, capsys, monkeypatch):
+        built = []
+        real = qbern.cli.family_entries
+        monkeypatch.setattr(qbern.cli, "family_entries", lambda spec, n_max: (
+            built.append(n) or p for n, p in enumerate(real(spec, n_max))))
+        r, w = os.pipe()
+        os.close(r)
+
+        class Stdout(io.StringIO):
+            """A stdout whose reader goes away once entry 1 is under way."""
+
+            def write(self, text):
+                if '"n": 1' in self.getvalue():
+                    raise BrokenPipeError
+                return super().write(text)
+
+            def fileno(self):
+                return w
+
+        stdout = Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["table", "--family", "qbernoulli", "--n-max", "12", "--q", "7/11",
+                     "--no-meta"])
+        monkeypatch.undo()
+        os.close(w)
+        assert (code, capsys.readouterr().err) == (141, "")
+        assert stdout.getvalue().endswith('"n": 1')
+        assert built == [0, 1]
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (ZeroDivisionError("at entry 3"), 3, "domain error: at entry 3\n"),
+        (RuntimeError("at entry 3"), 4, "internal error: RuntimeError: at entry 3\n"),
+        (KeyboardInterrupt(), 130, "interrupted\n"),
+    ], ids=["domain", "internal", "interrupt"])
+    def test_error_while_building_an_entry(self, capsys, monkeypatch, tmp_path, exc, code, line):
+        real = qbern.cli.family_entries
+
+        def failing(spec, n_max):
+            for n, p in enumerate(real(spec, n_max)):
+                if n == 3:
+                    raise exc
+                yield p
+
+        monkeypatch.setattr(qbern.cli, "family_entries", failing)
+        argv = ("table", "--family", "qeuler", "--n-max", "6", "--q", "7/11", "--no-meta")
+        target = tmp_path / "t.json"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", line)
+        assert not target.exists()
+        # on stdout the entries before it stay written
+        got, out, err = run(capsys, *argv)
+        assert (got, err) == (code, line)
+        assert '"n": 2' in out and '"n": 3' not in out
+
     @pytest.mark.parametrize("argv", [
         ("table", "--family", "qbernoulli", "--alpha", "2", "--n-max", "6", "--q=-7/3",
          "--no-meta"),
@@ -836,6 +928,15 @@ class TestJsonWriter:
         out = io.StringIO()
         _json(doc, out.write)
         assert out.getvalue() == json.dumps(with_rows(doc), indent=2) + "\n"
+
+    def test_a_generator_is_written_as_its_list(self):
+        def doc(seq):
+            return {"empty": seq([]), "rows": seq([{"n": 0, "poly": X}, {"e": seq([])}]),
+                    "last": seq([seq([1]), "a"])}
+
+        out = io.StringIO()
+        _json(doc(lambda items: (v for v in items)), out.write)
+        assert out.getvalue() == json.dumps(with_rows(doc(list)), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "lemma3", "--n-max", "2", "--alpha-set", "1", "--m-set", "1",

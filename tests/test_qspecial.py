@@ -14,6 +14,7 @@ from qbern.series import Eq_series, Series, eq_series
 from qbern.qspecial import (
     FamilySpec,
     classical_limit_errors,
+    family_entries,
     family_table,
     is_monotone_decreasing,
     q_bernoulli_numbers_recurrence,
@@ -414,6 +415,13 @@ class TestClassicalLimit:
             qq = q.value
             assert err == (1 - qq) / (2 * (1 + qq))
 
+    def test_reads_entry_n_from_the_stream_and_holds_no_table(self, monkeypatch):
+        want = [abs(family_table(FamilySpec("q_euler", 2, q), 5)[5].evaluate(F(1, 3), 0)
+                    - family_table(FamilySpec("q_euler", 2, None), 5)[5].evaluate(F(1, 3), 0))
+                for q in Q_LIMIT]
+        monkeypatch.setattr(qspecial, "family_table", None)
+        assert classical_limit_errors("q_euler", 2, 5, F(1, 3), Q_LIMIT) == want
+
 
 # -- the generating-function factors shared between tables ------------
 
@@ -440,6 +448,34 @@ def test_shared_factors_give_the_unshared_product(value, kind, alpha, n):
     q = None if value is None else QParam(value)
     table = family_table(FamilySpec(kind, alpha, q), n)
     assert list(table.entries) == unshared_table(kind, q, alpha, n)
+
+
+@pytest.mark.parametrize("alpha", [-2, 0, 1, 3])
+@pytest.mark.parametrize("q", [None, QParam(F(7, 11)), QParam(F(-7, 3))], ids=str)
+def test_entry_stream_is_the_table(q, alpha):
+    for kind in KIND_NAMES:
+        spec = FamilySpec(kind, alpha, q)
+        stream = list(family_entries(spec, 8))
+        assert stream == list(family_table(spec, 8).entries) == unshared_table(kind, q, alpha, 8)
+
+
+def test_entry_stream_builds_its_factors_at_the_call_and_each_entry_on_demand(monkeypatch):
+    with pytest.raises(ValueError, match="nonnegative"):
+        family_entries(FamilySpec("q_euler", 1, None), -1)
+    reads = []
+    real = qspecial.q_factorial
+    monkeypatch.setattr(qspecial, "q_factorial", lambda q, n: reads.append(n) or real(q, n))
+    scalar_memo.cache_clear()
+    spec = FamilySpec("q_bernoulli", 2, QParam(F(5, 13)))
+    stream = family_entries(spec, 6)
+    # the kernel's base reads [1]!..[7]! when the stream is made; entry n then reads [n]!
+    assert sorted(reads) == list(range(1, 8))
+    reads.clear()
+    entries = [next(stream)]
+    assert reads == [0]
+    entries.append(next(stream))
+    assert reads == [0, 1]
+    assert entries == list(family_table(spec, 1).entries)
 
 
 def test_memoized_factors_are_keyed_on_q_and_order():
