@@ -456,7 +456,8 @@ def _output(out: str | None):
         except BrokenPipeError:
             # as the signal module's "Note on SIGPIPE" says: stdout's descriptor
             # goes to devnull, so that the interpreter's exit flush cannot raise
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
             raise
         return
     try:

@@ -3,7 +3,8 @@
 Each identity is a left side and a right side, assembled as exact
 polynomials at every point of its parameter axes; the report carries the
 residual (left minus right).  A pass means the residual is the zero
-polynomial; there is no tolerance anywhere.
+polynomial; there is no tolerance anywhere.  A suite row is one report
+id, so a Bernoulli and Euler pair is two rows, one per kind.
 
 Vocabulary: ``qconv(q, n, a, b, w)`` = sum_k [n k]_q w(k) a(k) b(n - k),
 the convolution most formulas are built from; a table ``T`` has rows
@@ -21,7 +22,7 @@ only until the last suite of the run that reads it has finished.  Every
 ``c.B`` is a store read, so a formula that reads a table at each index
 binds it once, as a local or as a lambda default (``lambda j, B=c.B: ...``).
 ``q = None`` is the classical limit (see ``qcore``), so a classical q -> 1
-instance of a q-identity is that definition at q = None.  The alpha axis
+check is its q-row with the q axis dropped, at q = None.  The alpha axis
 takes every integer of the grid's alpha set, alpha <= 0 included.
 
 A few printed formulas in the source material carry typos.  Corrections
@@ -38,7 +39,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .poly import Poly2, symbolic_pair_power
 from .qcore import QParam, q_binomial, q_binomial_row, q_number, q_pair_power, gauss_exponent
@@ -169,7 +170,6 @@ class TableCache:
 
 BERN, EUL = "q_bernoulli", "q_euler"
 KINDS = {"bern": BERN, "eul": EUL}
-_KIND_PLACE = {kind: i for i, kind in enumerate(KINDS)}  # a kind's place in an id pair
 
 
 def _fn(s) -> Callable:
@@ -381,24 +381,22 @@ def _alpha_orders(*fixed: int) -> Callable[[Grid], set[int]]:
 
 @dataclass(frozen=True)
 class Identity:
-    id: str | tuple[str, str]  # a (Bernoulli, Euler) pair along a kind axis
+    """One report id: its formula at every point of its axes."""
+    id: str
     axes: tuple[tuple[str, Callable], ...]  # in report parameter order
     lhs: Callable[[Point], Poly2]
     rhs: Callable[[Point], Poly2]
-    classical: str | None = None  # id of the q = None instance
 
-    @property
-    def rids(self) -> tuple[str, ...]:
-        """Every report id of the identity, the classical one included."""
-        ids = (self.id,) if isinstance(self.id, str) else self.id
-        return (*ids, self.classical) if self.classical else ids
 
-    def points(self, grid: Grid) -> Iterator[tuple[str, dict]]:
-        """(report id, parameters) at every point, then at every classical point."""
-        yield from ((self.id, p) for p in _points(self.axes, grid))
-        if self.classical:
-            classical_axes = [a for a in self.axes if a is not Q]
-            yield from ((self.classical, p) for p in _points(classical_axes, grid))
+def _kinds(ids: tuple[str, str], axes: tuple, lhs: Callable, rhs: Callable) -> tuple:
+    """A (Bernoulli, Euler) pair of ids as two rows, each with its one kind as the first axis."""
+    return tuple((rid, (("kind", lambda g, p, k=k: (k,)), *axes), lhs, rhs)
+                 for rid, k in zip(ids, KINDS))
+
+
+def _classical(rid: str, axes: tuple, lhs: Callable, rhs: Callable, twin: str) -> tuple:
+    """A row and its classical twin: the same row with the q axis dropped, at q = None."""
+    return (rid, axes, lhs, rhs), (twin, tuple(a for a in axes if a is not Q), lhs, rhs)
 
 
 def _points(axes, grid: Grid) -> list[dict]:
@@ -415,30 +413,29 @@ SUITES: dict[str, Callable[[Grid, TableCache], list[IdentityReport]]] = {}
 READS: dict[str, Callable[[Grid], set]] = {}
 
 
-def _suite(name: str, doc: str, *defs: tuple, reads: tuple[str, ...] = (),
+def _suite(name: str, doc: str, *rows: tuple, reads: tuple[str, ...] = (),
            orders: Callable[[Grid], Iterable[int]] = lambda g: ()):
-    """Register a suite of identities, each given as the fields of an
-    Identity; its checker reports every identity at every point.  The suite
-    reads the store families of the sequences and sums named in ``reads``,
-    the tables of ``orders`` at the grid, the brackets named by its report
-    ids and the report parameters."""
-    identities = [Identity(*d) for d in defs]
-    families = {"params", *reads, *(r for i in identities for r in i.rids)}
+    """Register a suite of rows, each the fields of an Identity and so one
+    report id (``_kinds`` makes a kind pair two rows, ``_classical`` a
+    classical check its q-row without the q axis); its checker reports
+    every row at every point.  The suite reads the store families of the
+    sequences and sums named in ``reads``, the tables of ``orders`` at the
+    grid, the brackets named by its row ids and the report parameters."""
+    identities = [Identity(*row) for row in rows]
+    families = {"params", *reads, *(i.id for i in identities)}
     READS[name] = lambda g: {*families, *orders(g)}
 
     def check(grid: Grid, cache: TableCache) -> list[IdentityReport]:
         reports = []
         for ident in identities:
-            for rid, params in ident.points(grid):
-                if not isinstance(rid, str):
-                    rid = rid[_KIND_PLACE[params["kind"]]]
-                c = Point(cache, rid, **params)
+            for params in _points(ident.axes, grid):
+                c = Point(cache, ident.id, **params)
                 # one tuple per distinct point in the run, shared by its reports; its key
                 # reuses its pairs (a key of params.items() held 3 MiB more at alpha, m
                 # in 1..10)
                 shown = tuple(zip(params, map(str, params.values())))
                 shown = cache.once(("params", *shown), lambda: shown)
-                reports.append(IdentityReport(rid, shown, ident.lhs(c) - ident.rhs(c)))
+                reports.append(IdentityReport(ident.id, shown, ident.lhs(c) - ident.rhs(c)))
         return sorted(reports, key=IdentityReport.sort_key)
 
     check.__doc__ = doc
@@ -450,26 +447,27 @@ check_addition = _suite(
     "lemma1", "Lemma 1: addition theorems and their x/y = 0 and x/y = 1 specializations.",
     ("lemma1-pair", (KIND, N, ALPHA, Q), lambda c: c.T[c.n],
      lambda c: qconv(c.q, c.n, c.T.num, c.pair)),
-    (("be1-y", "be2-y"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n],
-     lambda c: qconv(c.q, c.n, c.T.y0, c.ey)),
-    (("be1-x", "be2-x"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n],
-     lambda c: qconv(c.q, c.n, c.T.x0, _x)),
-    (("be7-x", "be8-x"), (KIND, N, ALPHA, Q), lambda c: c.T.y0[c.n],
-     lambda c: qconv(c.q, c.n, c.T.num, _x)),
-    (("be7-y", "be8-y"), (KIND, N, ALPHA, Q), lambda c: c.T.x0[c.n],
-     lambda c: qconv(c.q, c.n, c.T.num, c.ey)),
-    (("be3-y1", "be4-y1"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n].substitute("y", 1),
-     lambda c: qconv(c.q, c.n, c.T.y0, lambda j: gauss_exponent(c.q, j))),
-    (("be3-x1", "be4-x1"), (KIND, N, ALPHA, Q), lambda c: c.T[c.n].substitute("x", 1),
-     lambda c: qconv(c.q, c.n, c.T.x0, _one)),
+    *_kinds(("be1-y", "be2-y"), (N, ALPHA, Q), lambda c: c.T[c.n],
+            lambda c: qconv(c.q, c.n, c.T.y0, c.ey)),
+    *_kinds(("be1-x", "be2-x"), (N, ALPHA, Q), lambda c: c.T[c.n],
+            lambda c: qconv(c.q, c.n, c.T.x0, _x)),
+    *_kinds(("be7-x", "be8-x"), (N, ALPHA, Q), lambda c: c.T.y0[c.n],
+            lambda c: qconv(c.q, c.n, c.T.num, _x)),
+    *_kinds(("be7-y", "be8-y"), (N, ALPHA, Q), lambda c: c.T.x0[c.n],
+            lambda c: qconv(c.q, c.n, c.T.num, c.ey)),
+    *_kinds(("be3-y1", "be4-y1"), (N, ALPHA, Q), lambda c: c.T[c.n].substitute("y", 1),
+            lambda c: qconv(c.q, c.n, c.T.y0, lambda j: gauss_exponent(c.q, j))),
+    *_kinds(("be3-x1", "be4-x1"), (N, ALPHA, Q), lambda c: c.T[c.n].substitute("x", 1),
+            lambda c: qconv(c.q, c.n, c.T.x0, _one)),
     reads=("pair",), orders=lambda g: g.alpha_set,
 )
 check_q_derivative = _suite(
     "lemma2", "Lemma 2: the Jackson-derivative ladder in each variable.",
-    (("lemma2-bern-x", "lemma2-eul-x"), (KIND, N1, ALPHA, Q), lambda c: c.T[c.n].jackson("x", c.q),
-     lambda c: c.down(c.T)),
-    (("lemma2-bern-y", "lemma2-eul-y"), (KIND, N1, ALPHA, Q), lambda c: c.T[c.n].jackson("y", c.q),
-     lambda c: c.down(lambda i: c.T[i].scale_var("y", c.q.value if c.q else 1))),
+    *_kinds(("lemma2-bern-x", "lemma2-eul-x"), (N1, ALPHA, Q),
+            lambda c: c.T[c.n].jackson("x", c.q), lambda c: c.down(c.T)),
+    *_kinds(("lemma2-bern-y", "lemma2-eul-y"), (N1, ALPHA, Q),
+            lambda c: c.T[c.n].jackson("y", c.q),
+            lambda c: c.down(lambda i: c.T[i].scale_var("y", c.q.value if c.q else 1))),
     orders=lambda g: g.alpha_set,
 )
 check_difference = _suite(
@@ -486,10 +484,10 @@ check_inversion = _suite(
     "lemma4", "Lemma 4: order-lowering expansions and, at order one, the monomial expansions.",
     ("be9", (N, ALPHA, Q), lambda c: c.Bm.x0[c.n], _be9),
     ("be10", (N, ALPHA, Q), lambda c: c.Em.x0[c.n], _be10),
-    ("monomial-bern", (N, Q), lambda c: Poly2.monomial(0, c.n),
-     lambda c: _be9(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-bern"),
-    ("monomial-eul", (N, Q), lambda c: Poly2.monomial(0, c.n),
-     lambda c: _be10(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-eul"),
+    *_classical("monomial-bern", (N, Q), lambda c: Poly2.monomial(0, c.n),
+                lambda c: _be9(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-bern"),
+    *_classical("monomial-eul", (N, Q), lambda c: Poly2.monomial(0, c.n),
+                lambda c: _be10(c) * (1 / gauss_exponent(c.q, c.n)), "cl1-eul"),
     orders=_alpha_orders(1),
 )
 check_recurrence = _suite(
@@ -524,21 +522,21 @@ check_sp2 = _suite(
 check_corollaries = _suite(
     "corollaries", "The theorems at order one with the order-zero polynomials written out "
     "as pair powers, the Cheon-type expansions, and classical forms.",
-    ("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "pair_ym1"),
-     "classical-c2-2"),
+    *_classical("c1-1", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_y(c, "pair_ym1"),
+                "classical-c2-2"),
     ("c1-2", (N, M, Q), lambda c: c.B[c.n], lambda c: _sp1_x(c, "ey")),
-    ("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "pair_ym1"),
-     "classical-euler-c2-2"),
-    ("cw1", (N, Q), lambda c: c.B[c.n],
-     lambda c: qconv(c.q, c.n, lambda k, B=c.B: B.x0[k] + q_number(c.q, k) / 2 * c.ey(k - 1)
-                     if k else B.x0[0], c.E.y0),
-     "classical-c2-1"),
+    *_classical("euler-c1", (N, M, Q), lambda c: c.E[c.n], lambda c: _sp2_y(c, "pair_ym1"),
+                "classical-euler-c2-2"),
+    *_classical("cw1", (N, Q), lambda c: c.B[c.n],
+                lambda c: qconv(c.q, c.n, lambda k, B=c.B: B.x0[k] + q_number(c.q, k) / 2
+                                * c.ey(k - 1) if k else B.x0[0], c.E.y0),
+                "classical-c2-1"),
     ("cw2", (N, Q), lambda c: c.B.y0[c.n], lambda c: _cw(c, c.E.y0)),
     ("cw3", (N, Q), lambda c: c.B.x0[c.n], lambda c: _cw(c, c.E.x0)),
-    ("euler-c3", (N, Q), lambda c: c.E[c.n],
-     lambda c: qconv(c.q, c.n, lambda k, E=c.E: c.ey(k + 1) - E.x0[k + 1], c.B.y0,
-                     lambda k: 2 / q_number(c.q, k + 1)),
-     "classical-euler-c2-1"),
+    *_classical("euler-c3", (N, Q), lambda c: c.E[c.n],
+                lambda c: qconv(c.q, c.n, lambda k, E=c.E: c.ey(k + 1) - E.x0[k + 1], c.B.y0,
+                                lambda k: 2 / q_number(c.q, k + 1)),
+                "classical-euler-c2-1"),
     ("euler-c4-x", (N, Q), lambda c: c.E.y0[c.n], lambda c: _euler_c4(c, c.B.y0)),
     ("euler-c4-y", (N, Q), lambda c: c.E.x0[c.n], lambda c: _euler_c4(c, c.B.x0)),
     reads=("ysum", "xsum", "P", "pair", "pair_ym1", "E1.x0(my)", "E1.y0(mx)", "B1.x0(my)"),
@@ -547,8 +545,8 @@ check_corollaries = _suite(
 check_stirling_theorem = _suite(
     "stirling-theorem", "The unproven mixed classical-Stirling expansion (verdict only): both\n"
     "sides have x-degree at most n, so the n + 2 points x = r/m, with mx integral, decide it.",
-    (("stirling-bern", "stirling-eul"), (KIND, N, ALPHA, M, Q),
-     lambda c: c.T[c.n].samples("x", Fraction(1, c.m), c.n + 2), _stirling_rhs),
+    *_kinds(("stirling-bern", "stirling-eul"), (N, ALPHA, M, Q),
+            lambda c: c.T[c.n].samples("x", Fraction(1, c.m), c.n + 2), _stirling_rhs),
     reads=("stirling-inner", "falling-row"), orders=lambda g: g.alpha_set,
 )
 check_bernstein = _suite(

@@ -1033,6 +1033,30 @@ class TestClosedPipesAndInterrupts:
             # the descriptor now points at devnull, so the final flush succeeds
             assert os.write(w, b"x") == 1
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_broken_pipes_leave_no_descriptor_open(self, capsys, monkeypatch):
+        r, w = os.pipe()
+        os.close(r)
+
+        class Stdout(io.StringIO):
+            """A stdout whose reader has gone: every write raises."""
+
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return w
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        before = len(os.listdir("/proc/self/fd"))
+        codes = [main(["table", "--family", "stirling2", "--n-max", "2", "--no-meta"])
+                 for _ in range(3)]
+        after = len(os.listdir("/proc/self/fd"))
+        monkeypatch.undo()
+        os.close(w)
+        assert (codes, capsys.readouterr().err) == ([141] * 3, "")
+        assert after == before
+
     def test_broken_out_fifo_is_still_cannot_write(self, capsys, tmp_path):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)

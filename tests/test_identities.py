@@ -9,7 +9,6 @@ from qbern.identities import (
     CORRECTIONS,
     VERDICT_ONLY,
     Grid,
-    Identity,
     default_grid,
     run_suite,
 )
@@ -92,6 +91,7 @@ def test_every_correction_names_a_checked_id():
     # classical twins report under their own ids
     reports = run_suite("all", SMALL)
     ids = {r.identity_id for r in reports}
+    assert len(ids) == 56  # one per identity row
     assert set(CORRECTIONS) - ids == set()
     assert {r.identity_id for r in reports if r.verdict_only} == VERDICT_ONLY
 
@@ -229,21 +229,16 @@ def recursive_points(axes, grid, bound=()):
                                   Grid(3, (-2, -1), (2,), (QParam(F(1, 2)),))],
                          ids=["SMALL", "alpha 0 and the classical point", "alpha below 0"])
 def test_points_match_a_recursive_enumeration(monkeypatch, grid):
-    # every suite's identities, collected by running each suite with no points
+    # every row's axes, collected by running each suite with no points
     seen = []
-    monkeypatch.setattr(Identity, "points", lambda self, grid: seen.append(self) or ())
+    monkeypatch.setattr(identities, "_points", lambda axes, grid: seen.append(axes) or ())
     run_suite("all", grid)
     monkeypatch.undo()
-    assert len(seen) == 41 and any(identities.K_N in i.axes for i in seen)
-    for ident in seen:
-        expected = [(ident.id, p) for p in recursive_points(ident.axes, grid)]
-        if ident.classical:
-            axes = [a for a in ident.axes if a is not identities.Q]
-            expected += [(ident.classical, p) for p in recursive_points(axes, grid)]
-        got = list(ident.points(grid))
+    assert len(seen) == 56 and any(identities.K_N in axes for axes in seen)
+    for axes in seen:
         # the parameter order is the report's, so compare the items in order
-        assert [(i, list(p.items())) for i, p in got] == \
-            [(i, list(p.items())) for i, p in expected], ident.id
+        assert [list(p.items()) for p in identities._points(axes, grid)] == \
+            [list(p.items()) for p in recursive_points(axes, grid)], axes
 
 
 def test_every_suite_runs_at_the_classical_point():
