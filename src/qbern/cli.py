@@ -8,19 +8,21 @@ Three subcommands:
 
 Rational values always serialize as strings like ``"-2/3"`` (never as
 floats), and output is byte-identical across runs when ``--no-meta`` is
-given.  A command's payload carries its polynomials as ``Poly2`` values;
-each writer formats one where it writes it, from its integers
-(``Poly2.term_ratios``).  Output is streamed: the writer puts each chunk
-into --out, or stdout, as it formats it, so no output-sized string is
-ever held.  A table is streamed from its source too: its entries (or
-rows) are a lazy sequence, each built when the writer reaches it and
-dropped once written, so no command holds a whole table.  The JSON meta
-block follows the payload, as a table's build time is known only once
-its last entry is built.  --out is opened before the command computes; if
-computing, formatting or writing fails, an --out that is a regular file
-is removed (a symlink or device is left alone), and what was already
-written to stdout stays there, a table's earlier entries included; the
-exit code is that of the error.
+given.  A command's payload carries its polynomials as ``Poly2`` values,
+and a verify payload its reports as ``IdentityReport`` records; each
+writer formats one where it writes it, a polynomial from its integers
+(``Poly2.term_ratios``) and a report from its fields.  Output is
+streamed: the writer puts each chunk into --out, or stdout, as it
+formats it, so no output-sized string is ever held.  A table is streamed
+from its source too: its entries (or rows) are a lazy sequence, each
+built when the writer reaches it and dropped once written, so no command
+holds a whole table.  The JSON meta block follows the payload, as a
+table's build time is known only once its last entry is built, and a
+verify's write time once its last report is written.  --out is opened
+before the command computes; if computing, formatting or writing fails,
+an --out that is a regular file is removed (a symlink or device is left
+alone), and what was already written to stdout stays there, a table's
+earlier entries included; the exit code is that of the error.
 
 Exit codes: 0 success, 1 a gated identity failed, 2 argument errors,
 3 domain errors (e.g. q = 1, or a value too large for its decimal
@@ -232,20 +234,6 @@ def _table_latex(payload: dict, put, base: int) -> None:
 # -- verify command --------------------------------------------------
 
 
-def _report_obj(r: IdentityReport) -> dict:
-    obj = {
-        "id": r.identity_id,
-        "params": {k: v for k, v in r.params},
-        "pass": r.passed,
-        "residual": r.residual,
-    }
-    if r.correction_applied:
-        obj["correction_applied"] = r.correction_applied
-    if r.verdict_only:
-        obj["verdict_only"] = True
-    return obj
-
-
 def _verify_payload(args) -> dict:
     q_set = _parse_q_list(args.q_set)  # an excluded q is a domain error, not a grid error
     try:
@@ -284,13 +272,22 @@ def _verify_payload(args) -> dict:
         },
         "total": len(reports),
         "failures": sum(not (r.passed or r.verdict_only) for r in reports),
-        "reports": [_report_obj(r) for r in reports],
+        "reports": _written(reports, args.timing),
     }
     if verdicts:
         holding = sum(r.passed for r in verdicts)
         payload["verdicts"] = {"recorded": len(verdicts), "holding": holding,
                                "failing": len(verdicts) - holding}
     return payload
+
+
+def _written(reports: list[IdentityReport], timing: dict) -> Iterator[IdentityReport]:
+    """The reports, as the writer asks for them; ``timing["write_s"]`` is the
+    seconds from the first report handed to the writer to the end of the last
+    one's write, set before the writer reaches the meta block."""
+    start = time.perf_counter()
+    yield from reports
+    timing["write_s"] = round(time.perf_counter() - start, 6)
 
 
 # -- limit command ---------------------------------------------------
@@ -339,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=None,
                    help="order of the Bernoulli and Euler families (default 1)")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--q", default=None, help="rational q, e.g. 1/2")
+    p.add_argument("--q", default=None,
+                   help="rational q, e.g. 1/2; read by the q families only, and ignored by "
+                   "the classical families and stirling2")
     p.add_argument("--format", default="json", choices=tuple(WRITERS))
 
     p = add("verify", help="run an identity suite over a grid")
@@ -368,13 +367,45 @@ def _json(doc: dict | list, put, base: int = 1) -> None:
     for a document of dicts with string keys, lists, strings, ints, floats,
     bools and None, chunk by chunk as it is formatted.  A generator is
     written as the list of its items, each read as it is written.  A ``Poly2`` leaf
-    is written as its ``poly_terms(p, base)`` rows.
+    is written as its ``poly_terms(p, base)`` rows, and an ``IdentityReport``
+    leaf as the object of its id, ``params``, ``pass`` and ``residual`` (its
+    rows), then ``correction_applied`` and ``verdict_only`` where they apply.
 
     With ``indent`` set, ``json.dumps`` leaves its C encoder for a
     pure-Python one.  Here each separator, key and scalar is one chunk,
     and each term of a ``Poly2`` is one chunk: a fixed template filled
-    from the integers of ``term_ratios()``, which need no escaping.
+    from the integers of ``term_ratios()``, which need no escaping.  A
+    report's fields up to its residual's first row are one chunk too, filled
+    from its record, so no report is turned into a dict.
     """
+
+    def rows(p: Poly2, h: str, nl: str) -> None:
+        """``h`` and then the term rows of ``p``, whose closing line starts with ``nl``."""
+        # a term row is an indent-2 {"dx", "dy", "coeff"} object one level in; the
+        # term list is dropped after its loop, before the next item is built
+        item = nl + "  "
+        key = item + "  "
+        first = row = h + "[" + item
+        for (dx, dy), n, d in p.term_ratios(base):
+            put(f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}/{d}"{item}}}'
+                if d != 1 else
+                f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}"{item}}}')
+            row = "," + item
+        put(h + "[]" if row is first else nl + "]")
+
+    def report(r: IdentityReport, h: str, nl: str) -> None:
+        """``h`` and then the object of ``r``, whose closing line starts with ``nl``."""
+        key = nl + "  "
+        params = ",".join(f"{key}  {_string(name)}: {_string(value)}" for name, value in r.params)
+        rows(r.residual, f'{h}{{{key}"id": {_string(r.identity_id)},{key}"params": '
+             + (f"{{{params}{key}}}" if params else "{}")
+             + f',{key}"pass": {"true" if r.passed else "false"},{key}"residual": ', key)
+        tail = nl + "}"
+        if r.verdict_only:
+            tail = f',{key}"verdict_only": true{tail}'
+        if note := r.correction_applied:
+            tail = f',{key}"correction_applied": {_string(note)}{tail}'
+        put(tail)
 
     # ``write`` is handed itself rather than naming itself from the enclosing
     # scope: a closure that names itself is a reference cycle, which keeps
@@ -397,17 +428,9 @@ def _json(doc: dict | list, put, base: int = 1) -> None:
             elif isinstance(x, (dict, list, tuple, GeneratorType)):
                 write(x, h, inner, write)
             elif isinstance(x, Poly2):
-                # a term row is an indent-2 {"dx", "dy", "coeff"} object one level in; the
-                # term list is dropped after its loop, before the next item is built
-                item = inner + "  "
-                key = item + "  "
-                first = row = h + "[" + item
-                for (dx, dy), n, d in x.term_ratios(base):
-                    put(f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}/{d}"{item}}}'
-                        if d != 1 else
-                        f'{row}{{{key}"dx": {dx},{key}"dy": {dy},{key}"coeff": "{n}"{item}}}')
-                    row = "," + item
-                put(h + "[]" if row is first else inner + "]")
+                rows(x, h, inner)
+            elif isinstance(x, IdentityReport):
+                report(x, h, inner)
             else:  # a float, bool or None; any other type is json's TypeError
                 put(h + json.dumps(x))
         if sep is opening:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import qbern
 import qbern.cli
 from qbern.cli import KINDS, _json, main, poly_latex, poly_terms
-from qbern.identities import SUITE_ORDER, default_grid
+from qbern.identities import SUITE_ORDER, IdentityReport, default_grid
 from qbern.poly import Poly2, X, Y
 from qbern.qcore import QParam
 from qbern.qspecial import FamilySpec, family_table, q_bernoulli_table
@@ -499,6 +500,7 @@ class TestVerify:
         # the table builds are timed inside each suite's wall time
         assert all(0 <= s["tables_s"] <= s["wall_s"] for s in timing["suites"].values())
         assert sum(s["tables_s"] for s in timing["suites"].values()) > 0
+        assert 0 <= timing["write_s"]
         memo = timing["scalar_memo"]
         assert memo["hits"] > 0 and memo["misses"] >= 0
         assert 0 < memo["size"] <= memo["bound"]
@@ -866,6 +868,35 @@ class TestStreaming:
         assert err == b""
         assert out == target.read_bytes()
 
+    def test_verify_payload_holds_nothing_per_report(self, monkeypatch):
+        # the payload carries the reports run_suite returned as they are, each
+        # formatted from its record where it is written; turning each of this
+        # grid's 1,164 reports into a dict instead allocated about 364 KB here.
+        # gc.collect() empties the interpreter's free lists first: an automatic
+        # full collection while the payload is built would otherwise release
+        # their memory from the trace and hide what the payload allocates
+        args = qbern.cli.build_parser().parse_args(
+            ["verify", "--suite", "all", "--n-max", "4", "--alpha-set", "1,2", "--m-set", "1,2",
+             "--q-set", "1/2,3/4"])
+        real = qbern.cli.run_suite
+        after_run = []
+
+        def run_suite(*args):
+            reports = real(*args)
+            gc.collect()
+            after_run.append(tracemalloc.get_traced_memory()[0])
+            return reports
+
+        monkeypatch.setattr(qbern.cli, "run_suite", run_suite)
+        tracemalloc.start()
+        try:
+            payload = qbern.cli._verify_payload(args)
+            grown = tracemalloc.get_traced_memory()[0] - after_run[0]
+        finally:
+            tracemalloc.stop()
+        assert payload["total"] >= 1000
+        assert grown < 64 * 1024, (grown, payload["total"])
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-to-str digit limit before Python 3.11")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -898,9 +929,22 @@ json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**60,
 
 
 def with_rows(doc):
-    """``doc`` with each ``Poly2`` leaf replaced by its ``poly_terms`` rows."""
+    """``doc`` with each ``Poly2`` leaf replaced by its ``poly_terms`` rows, and
+    each ``IdentityReport`` leaf by the object that the JSON writer writes for it."""
     if isinstance(doc, Poly2):
         return poly_terms(doc)
+    if isinstance(doc, IdentityReport):
+        obj = {
+            "id": doc.identity_id,
+            "params": dict(doc.params),
+            "pass": doc.passed,
+            "residual": poly_terms(doc.residual),
+        }
+        if doc.correction_applied:
+            obj["correction_applied"] = doc.correction_applied
+        if doc.verdict_only:
+            obj["verdict_only"] = True
+        return obj
     if isinstance(doc, dict):
         return {k: with_rows(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -937,6 +981,28 @@ class TestJsonWriter:
         out = io.StringIO()
         _json(doc(lambda items: (v for v in items)), out.write)
         assert out.getvalue() == json.dumps(with_rows(doc(list)), indent=2) + "\n"
+
+    @pytest.mark.parametrize("report", [
+        IdentityReport("lemma1", (("n", "3"), ("alpha", "2"), ("q", "1/2")), Poly2.zero()),
+        IdentityReport("lemma3", (("n", "2"), ("q", "-7/3")),
+                       X * X - F(1, 2) * X * Y + F(3, 7) * Y - F(22, 21)),
+        IdentityReport("sp2-1", (("n", "1"), ("m", "2"), ("q", "3/4")), Poly2.const(F(-5, 9))),
+        IdentityReport("stirling-bern", (("n", "2"), ("q", "1/3")), F(1, 6) * Y),
+        IdentityReport("stirling-bern", (("n", "0"),), Poly2.zero()),
+        IdentityReport("exp-inverse", (), Poly2.zero()),
+        IdentityReport("exp-inverse", (), X - 1),
+        IdentityReport('a "quoted" id\u00e9', (("k\n", "v\u2028"),), Poly2.const(2)),
+    ], ids=["passing", "failing", "corrected", "verdict-failing", "verdict-holding",
+            "no-params", "no-params-failing", "escaped"])
+    def test_report_leaves_match_their_dict_form(self, report):
+        doc = {"payload": {"total": 1, "reports": [report, report]}, "at_top": report,
+               "nested": [[report], {"r": report}], "last": report}
+        out = io.StringIO()
+        _json(doc, out.write)
+        assert out.getvalue() == json.dumps(with_rows(doc), indent=2) + "\n"
+        out = io.StringIO()
+        _json([report], out.write)
+        assert out.getvalue() == json.dumps(with_rows([report]), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "lemma3", "--n-max", "2", "--alpha-set", "1", "--m-set", "1",
