@@ -15,14 +15,18 @@ is f keyed on the point's ``axes``, all that f reads.  The weighted sums
 = sum_j [k j] P(k - j) Em.x0[j] are store reads keyed on q, m, what they
 sum (the kind and order of the table's spec and the projection, so ``Bm``
 at alpha is ``B`` at alpha - 1) and k; a sum of a difference is written as
-the difference of two sums.  One store builds each table, sequence value
-and weighted sum, pair and recurrence powers included, once per run, and
-holds each family of entries (a sequence or sum by name, a table by order)
-only until the last suite of the run that reads it has finished.  Every
+the difference of two sums.  A run is one pass per q value, each over a
+store of its own, dropped before the next pass starts.  A pass's store
+builds each table, sequence value and weighted sum, pair and recurrence
+powers included, once, and holds each family of entries (a sequence or
+sum by name, a table by order) only until the last suite of the pass that
+reads it has finished.  The falling-factorial rows are the one stored
+sequence that reads no q, so they alone are built again, once per pass.  Every
 ``c.B`` is a store read, so a formula that reads a table at each index
 binds it once, as a local or as a lambda default (``lambda j, B=c.B: ...``).
 ``q = None`` is the classical limit (see ``qcore``), so a classical q -> 1
-check is its q-row with the q axis dropped, at q = None.  The alpha axis
+check is its q-row with the q axis dropped, at q = None: a q-free row runs
+once per run, in the q = None pass.  The alpha axis
 takes every integer of the grid's alpha set, alpha <= 0 included.
 
 A few printed formulas in the source material carry typos.  Corrections
@@ -35,7 +39,9 @@ unproven statements, whose reports record their verdict and gate nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,6 +82,10 @@ class Grid:
     q_set: tuple[QParam, ...]
 
     def __post_init__(self) -> None:
+        if not all(q is None or isinstance(q, QParam) for q in self.q_set):
+            raise TypeError("q values must be QParam or None")
+        for v in (self.n_max, *self.alpha_set, *self.m_set):
+            operator.index(v)  # a TypeError unless v is an integer
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
         if not (self.alpha_set and self.m_set and self.q_set):
@@ -122,10 +132,10 @@ _MISSING = object()  # no stored value is this object
 
 
 class TableCache:
-    """The one store of a run: each polynomial table, as deep as the run
-    reads, each value of a named sequence and each point's report
-    parameters, built once.  ``build_s`` is
-    the wall time spent building tables."""
+    """The store of one pass of a run, at one q value: each polynomial
+    table, as deep as the run reads, each value of a named sequence and
+    each point's report parameters, built once.  ``build_s`` is the wall
+    time spent building tables."""
 
     def __init__(self, max_n: int):
         self.max_n = max_n
@@ -220,7 +230,7 @@ class Point:
         return self.cache.get(kind, self.q, alpha)
 
     def seq(self, name: str, f: Callable[[int], Poly2], *axes: str) -> Callable[[int], Poly2]:
-        """f as a sequence kept in the run's store under (name, the point's
+        """f as a sequence kept in the pass's store under (name, the point's
         values of ``axes``, index): f must read no other parameter."""
         key = (name, *(getattr(self, a) for a in axes))
         return lambda i: self.cache.once((*key, i), lambda: f(i))
@@ -249,7 +259,7 @@ class Point:
     @property
     def P(self) -> Callable[[int], Fraction]:
         """The scalar (1/m + (-1))-pair powers of the recurrences, kept in the
-        run's store under q and the integer m: a read builds and hashes no Fraction."""
+        pass's store under q and the integer m: a read builds and hashes no Fraction."""
         return self.seq("P", lambda p: q_pair_power(self.q, Fraction(1, self.m), -1, p), "q", "m")
 
     def ysum(self, k: int, s: str) -> Poly2:
@@ -261,7 +271,7 @@ class Point:
         return self._sum("xsum", k, s, self.P, _one)
 
     def _sum(self, name: str, k: int, s: str, b, w) -> Poly2:
-        """qconv(q, k, s, b, w), kept in the run's store under ``name``, q, m,
+        """qconv(q, k, s, b, w), kept in the pass's store under ``name``, q, m,
         what it sums and k.  ``s`` names a projection of one of the point's
         tables ("B.ym1", "Em.x0"), known by its table's spec, or a sequence of
         the point that reads only q ("pair_ym1", "ey")."""
@@ -408,27 +418,33 @@ def _points(axes, grid: Grid) -> list[dict]:
     return points
 
 
-SUITES: dict[str, Callable[[Grid, TableCache], list[IdentityReport]]] = {}
+SUITES: dict[str, Callable[[Grid, TableCache, QParam | None], list[IdentityReport]]] = {}
 # each suite's store families at a grid (see TableCache.release)
 READS: dict[str, Callable[[Grid], set]] = {}
+_Q_FREE: set[str] = set()  # the suites with a row that has no q axis
 
 
 def _suite(name: str, doc: str, *rows: tuple, reads: tuple[str, ...] = (),
            orders: Callable[[Grid], Iterable[int]] = lambda g: ()):
     """Register a suite of rows, each the fields of an Identity and so one
     report id (``_kinds`` makes a kind pair two rows, ``_classical`` a
-    classical check its q-row without the q axis); its checker reports
-    every row at every point.  The suite reads the store families of the
+    classical check its q-row without the q axis); its checker reports, in
+    no set order, every row at every point whose q is the pass's q, a row
+    with no q axis at q = None.  The suite reads the store families of the
     sequences and sums named in ``reads``, the tables of ``orders`` at the
     grid, the brackets named by its row ids and the report parameters."""
     identities = [Identity(*row) for row in rows]
     families = {"params", *reads, *(i.id for i in identities)}
     READS[name] = lambda g: {*families, *orders(g)}
+    if any(Q not in i.axes for i in identities):
+        _Q_FREE.add(name)
 
-    def check(grid: Grid, cache: TableCache) -> list[IdentityReport]:
-        reports = []
+    def check(grid: Grid, cache: TableCache, q: QParam | None) -> list[IdentityReport]:
+        reports, at_q = [], dataclasses.replace(grid, q_set=(q,))
         for ident in identities:
-            for params in _points(ident.axes, grid):
+            if not (q in grid.q_set if Q in ident.axes else q is None):
+                continue
+            for params in _points(ident.axes, at_q):
                 c = Point(cache, ident.id, **params)
                 # one tuple per distinct point in the run, shared by its reports; its key
                 # reuses its pairs (a key of params.items() held 3 MiB more at alpha, m
@@ -436,7 +452,7 @@ def _suite(name: str, doc: str, *rows: tuple, reads: tuple[str, ...] = (),
                 shown = tuple(zip(params, map(str, params.values())))
                 shown = cache.once(("params", *shown), lambda: shown)
                 reports.append(IdentityReport(ident.id, shown, ident.lhs(c) - ident.rhs(c)))
-        return sorted(reports, key=IdentityReport.sort_key)
+        return reports
 
     check.__doc__ = doc
     SUITES[name] = check
@@ -586,33 +602,53 @@ SUITE_ORDER = (*sorted(set(SUITES) - {"exp-inverse"}), "exp-inverse")
 
 
 def run_suite(name: str, grid: Grid, timing: dict | None = None) -> list[IdentityReport]:
-    """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order,
-    over one store.  The store releases each family of entries (``READS``)
-    once the last suite of the run that reads it has finished, and the rest
-    when it is dropped on return.  A ``timing`` dict receives each suite's
-    wall seconds, the seconds of them spent building tables and its report
-    count under ``suites`` and the suite's name, and under ``run_cache`` the
-    store's entries at the end of the run, the most it held at once, its
-    hits and its misses (the entries it built)."""
+    """Run one suite of ``SUITE_ORDER``, or ``all`` of them in that order, and
+    return each suite's reports sorted by ``IdentityReport.sort_key``.
+
+    The run makes one pass per q of the grid, in order, each over a store of
+    its own that is dropped when the pass ends.  A pass runs every suite at
+    its q and releases each family of entries (``READS``) once the last suite
+    of the pass that reads it has finished.  The rows with no q axis run in
+    the q = None pass, or, when the grid has no q = None, in one more pass
+    of the suites that have such a row.  A ``timing`` dict receives, summed
+    over the passes, each suite's wall seconds, the seconds of them spent
+    building tables and its report count under ``suites`` and the suite's
+    name, and under ``run_cache`` the entries the last pass's store held at
+    its end, the most any one pass's store held at once, and the stores'
+    hits and misses (the entries they built)."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_ORDER if name == "all" else (name,)
     # the deepest table index each suite reads
     reach = {"sp2": grid.n_max + 1, "corollaries": grid.n_max + 1,
              "alpha-zero": max(grid.n_max, 10)}
-    cache = TableCache(max(reach.get(s, grid.n_max) for s in names))
-    reports, timing = [], {} if timing is None else timing
-    suites = timing["suites"] = {}
+    max_n = max(reach.get(s, grid.n_max) for s in names)
+    passes = [(q, names) for q in grid.q_set]
+    q_free = tuple(s for s in names if s in _Q_FREE)
+    if None not in grid.q_set and q_free:
+        passes.append((None, q_free))
+    timing = {} if timing is None else timing
+    suites = timing["suites"] = {s: {"wall_s": 0.0, "tables_s": 0.0, "reports": 0}
+                                 for s in names}
     reads = {s: READS[s](grid) for s in names}
-    last = {family: s for s in names for family in reads[s]}  # its last reader
-    for s in names:
-        start, built = time.perf_counter(), cache.build_s
-        got = SUITES[s](grid, cache)
-        reports += got
-        suites[s] = {"wall_s": round(time.perf_counter() - start, 6),
-                     "tables_s": round(cache.build_s - built, 6), "reports": len(got)}
-        if s != names[-1]:
-            cache.release({family for family in reads[s] if last[family] == s})
-    timing["run_cache"] = {"entries": len(cache._store), "peak_entries": cache.peak_entries,
-                           "hits": cache.hits, "misses": cache.misses}
-    return reports
+    got: dict[str, list[IdentityReport]] = {s: [] for s in names}
+    hits = misses = peak = 0
+    for q, run in passes:
+        cache = TableCache(max_n)
+        last = {family: s for s in run for family in reads[s]}  # its last reader in the pass
+        for s in run:
+            start, built = time.perf_counter(), cache.build_s
+            reports = SUITES[s](grid, cache, q)
+            got[s] += reports
+            suites[s]["wall_s"] += time.perf_counter() - start
+            suites[s]["tables_s"] += cache.build_s - built
+            suites[s]["reports"] += len(reports)
+            if s != run[-1]:
+                cache.release({family for family in reads[s] if last[family] == s})
+        hits, misses = hits + cache.hits, misses + cache.misses
+        peak = max(peak, cache.peak_entries)
+    for t in suites.values():
+        t["wall_s"], t["tables_s"] = round(t["wall_s"], 6), round(t["tables_s"], 6)
+    timing["run_cache"] = {"entries": len(cache._store), "peak_entries": peak,
+                           "hits": hits, "misses": misses}
+    return [r for s in names for r in sorted(got[s], key=IdentityReport.sort_key)]

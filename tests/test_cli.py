@@ -520,6 +520,21 @@ class TestVerify:
         # one suite releases nothing: the store holds at the end all it built
         assert store["entries"] == store["peak_entries"] == store["misses"]
 
+    def test_run_cache_in_meta_sums_the_passes(self, capsys):
+        # a store per q: hits and misses are summed, the peak is the largest
+        # store's, and the entries are those the last store held at its end
+        def store(q_set):
+            code, out, _ = run(capsys, "verify", "--suite", "sp1", "--n-max", "3",
+                               "--alpha-set", "1,2", "--m-set", "1,2", f"--q-set={q_set}")
+            assert code == 0
+            return json.loads(out)["meta"]["timing"]["run_cache"]
+
+        half, third, both = store("1/2"), store("-7/3"), store("1/2,-7/3")
+        assert both["hits"] == half["hits"] + third["hits"]
+        assert both["misses"] == half["misses"] + third["misses"]
+        assert both["peak_entries"] == max(half["peak_entries"], third["peak_entries"])
+        assert both["entries"] == third["entries"] < both["misses"]
+
     def test_deterministic_with_no_meta(self, capsys):
         args = (
             "verify",

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -157,6 +158,19 @@ def test_grid_validation():
         Grid(n_max=4, alpha_set=(1,), m_set=(1,), q_set=q + (QParam(F(2, 4)),))
 
 
+@pytest.mark.parametrize("sets", [
+    {"q_set": (F(1, 2),)}, {"q_set": (QParam(F(1, 2)), 0.5)},
+    {"alpha_set": (1.0,)}, {"alpha_set": (F(2),)}, {"m_set": (2.0,)}, {"m_set": ("2",)},
+    {"n_max": 3.5},
+], ids=["Fraction q", "float q", "float alpha", "Fraction alpha", "float m", "str m", "float n_max"])
+def test_grid_rejects_a_value_of_the_wrong_type(sets):
+    # caught here, not as an AttributeError deep inside a run
+    with pytest.raises(TypeError):
+        Grid(**{"n_max": 3, "alpha_set": (1,), "m_set": (1,), "q_set": (QParam(F(1, 2)),),
+                **sets})
+    assert Grid(3, (True, 2), (1,), (None, QParam(F(1, 2)))).q_set[0] is None
+
+
 def test_default_grid_shape():
     g = default_grid()
     assert g.n_max == 8
@@ -229,13 +243,19 @@ def recursive_points(axes, grid, bound=()):
                                   Grid(3, (-2, -1), (2,), (QParam(F(1, 2)),))],
                          ids=["SMALL", "alpha 0 and the classical point", "alpha below 0"])
 def test_points_match_a_recursive_enumeration(monkeypatch, grid):
-    # every row's axes, collected by running each suite with no points
+    # every row's axes, collected by running each suite with no points: the 50
+    # rows with a q axis once per q, each at its one q, and the 6 classical
+    # twins once
     seen = []
-    monkeypatch.setattr(identities, "_points", lambda axes, grid: seen.append(axes) or ())
+    monkeypatch.setattr(identities, "_points",
+                        lambda axes, g: seen.append((axes, g.q_set)) or ())
     run_suite("all", grid)
     monkeypatch.undo()
-    assert len(seen) == 56 and any(identities.K_N in axes for axes in seen)
-    for axes in seen:
+    assert len(seen) == 50 * len(grid.q_set) + 6
+    assert all(len(q_set) == 1 for _, q_set in seen)
+    assert Counter(q for axes, (q,) in seen if identities.Q in axes) == Counter(grid.q_set * 50)
+    assert any(identities.K_N in axes for axes, _ in seen)
+    for axes in {id(axes): axes for axes, _ in seen}.values():
         # the parameter order is the report's, so compare the items in order
         assert [list(p.items()) for p in identities._points(axes, grid)] == \
             [list(p.items()) for p in recursive_points(axes, grid)], axes
@@ -305,7 +325,8 @@ def test_each_weighted_sum_is_built_once_per_run(monkeypatch):
         monkeypatch.setattr(identities.Point, name, read)
 
     run_suite("all", SMALL)
-    assert len(stores) == 1
+    # a store per q and one for the classical twins, each sum keyed on its q
+    assert len(stores) == len(SMALL.q_set) + 1
     sums = [k for k, _ in entries if k[0] in ("ysum", "xsum")]
     assert sums and len(built) == len(sums) < len(requested)
     q = SMALL.q_set[0]
@@ -352,39 +373,59 @@ def family(key, value):
 
 @pytest.mark.parametrize("grid", LIFETIME_GRIDS, ids=LIFETIME_IDS)
 def test_no_entry_is_built_twice_in_a_run(monkeypatch, grid):
-    # a family released while a later suite still reads it would be built again
-    entries = record_builds(monkeypatch)
+    # a family released while a later suite of its pass still reads it would be
+    # built again; across passes only the falling-factorial rows, the one family
+    # that reads no q, are built again, once per pass of stirling-theorem
+    entries, starts = record_builds(monkeypatch), []
+    real = identities.TableCache
+    monkeypatch.setattr(identities, "TableCache",
+                        lambda max_n: starts.append(len(entries)) or real(max_n))
     timing = {}
     run_suite("all", grid, timing)
     keys = [k for k, _ in entries]
-    assert keys and timing["run_cache"]["misses"] == len(keys) == len(set(keys))
+    assert keys and timing["run_cache"]["misses"] == len(keys)
+    # a pass per q and one for the classical twins, as no grid here has q = None
+    assert len(starts) == len(grid.q_set) + 1
+    for start, end in zip(starts, [*starts[1:], len(keys)]):
+        assert keys[start:end] and len(set(keys[start:end])) == end - start
+    again = {k: n for k, n in Counter(keys).items() if n > 1}
+    assert again and {k[0] for k in again} == {"falling-row"}
+    assert set(again.values()) == {len(grid.q_set)}
 
 
 def test_each_family_is_released_after_its_last_reader(monkeypatch):
     grid = LIFETIME_GRIDS[1]
-    names = identities.SUITE_ORDER
-    reads = {s: identities.READS[s](grid) for s in names}
-    last = {f: s for s in names for f in reads[s]}
-    held = {}  # (suite, "start" or "end") -> the families in the store
+    reads = {s: identities.READS[s](grid) for s in identities.SUITE_ORDER}
+    passes = {}  # store -> (suite, families held at its start, at its end), in run order
 
     def watched(s, check):
-        def run(grid, cache):
-            held[s, "start"] = {family(*e) for e in cache._store.items()}
-            reports = check(grid, cache)
-            held[s, "end"] = {family(*e) for e in cache._store.items()}
+        def run(grid, cache, q):
+            start = {family(*e) for e in cache._store.items()}
+            reports = check(grid, cache, q)
+            end = {family(*e) for e in cache._store.items()}
+            passes.setdefault(cache, []).append((s, start, end))
             return reports
         return run
 
     for s, check in list(identities.SUITES.items()):
         monkeypatch.setitem(identities.SUITES, s, watched(s, check))
     run_suite("all", grid)
-    released = set()
-    for s, after in zip(names, names[1:]):
-        # exactly the families s read last are dropped as s ends, and none returns
-        done = {f for f in reads[s] if last[f] == s}
-        released |= done
-        assert held[after, "start"] == held[s, "end"] - done, s
-        assert not held[after, "start"] & released, s
+    # every suite at each q, then the two suites with a classical twin at q = None
+    assert [[s for s, _, _ in p] for p in passes.values()] == \
+        [list(identities.SUITE_ORDER)] * 2 + [["corollaries", "lemma4"]]
+    for p in passes.values():
+        assert p[0][1] == set()  # each pass starts on a store of its own
+        last = {f: s for s, _, _ in p for f in reads[s]}
+        released = set()
+        for (s, _, end), (after, start, _) in zip(p, p[1:]):
+            # exactly the families s read last in the pass are dropped as s
+            # ends, and none returns
+            done = {f for f in reads[s] if last[f] == s}
+            released |= done
+            assert start == end - done, (s, after)
+            assert not start & released, (s, after)
+    first = next(iter(passes.values()))
+    held = {(s, "start"): start for s, start, _ in first} | {(s, "end"): end for s, _, end in first}
     # bernstein alone reads the bb1 rows and the orders 2, 5 and 6, and no suite
     # after sp2 reads a weighted sum or a recurrence power
     assert {2, 5, 6, "bb1-row"} <= held["bernstein", "end"]
@@ -392,6 +433,41 @@ def test_each_family_is_released_after_its_last_reader(monkeypatch):
     assert {0, 1, 3, 4} <= held["corollaries", "start"]
     assert {"ysum", "xsum", "P"} <= held["sp2", "end"]
     assert not {"ysum", "xsum", "P"} & held["stirling-theorem", "start"]
+
+
+CLASSICAL_TWINS = {"cl1-bern", "cl1-eul", "classical-c2-1", "classical-c2-2",
+                   "classical-euler-c2-1", "classical-euler-c2-2"}
+
+
+@pytest.mark.parametrize("q_set", [SMALL.q_set, (QParam(F(-7, 3)), None)],
+                         ids=["two q", "q and the classical point"])
+def test_each_point_is_reported_once(q_set):
+    # every row with a q axis at each q of the grid, q = None included, and
+    # each classical twin once, with no q
+    grid = Grid(4, (0, 2), (1, 2), q_set)
+    reports = run_suite("all", grid)
+    keys = [r.sort_key() for r in reports]
+    assert len(keys) == len(set(keys))
+    q_ids = {r.identity_id for r in reports} - CLASSICAL_TWINS
+    assert {(r.identity_id, dict(r.params).get("q")) for r in reports} == \
+        {(i, str(q)) for i in q_ids for q in q_set} | {(i, None) for i in CLASSICAL_TWINS}
+    # a one-q run reports the same points at its q, and the same twins
+    for q in q_set:
+        alone = run_suite("all", dataclasses.replace(grid, q_set=(q,)))
+        assert [r for r in reports if dict(r.params).get("q", str(q)) == str(q)] == alone
+
+
+def test_a_run_holds_one_q_at_a_time():
+    # each q's pass has a store of its own, dropped before the next pass, so a
+    # run over many q holds at its peak no more than the largest one-q run
+    def peak(grid):
+        timing = {}
+        run_suite("all", grid, timing)
+        return timing["run_cache"]["peak_entries"]
+
+    for grid in (SMALL, Grid(4, (0, 2), (1, 2), (QParam(F(1, 2)), None))):
+        alone = [peak(dataclasses.replace(grid, q_set=(q,))) for q in grid.q_set]
+        assert peak(grid) == max(alone), grid
 
 
 @pytest.mark.parametrize("grid", LIFETIME_GRIDS, ids=LIFETIME_IDS)
@@ -452,21 +528,24 @@ def test_stirling_inner_sums_are_built_once_for_every_m(monkeypatch):
 
 def test_each_falling_factorial_row_is_stored_once_per_n_and_j(monkeypatch):
     # the right side's rows sum_r r!/(r-j)! x^r depend on n and j only, so a
-    # second q or a larger m_set reads the same rows and stores none
+    # larger m_set reads the same rows and stores none, and each q's store
+    # holds each row once
     stores = []
     real = identities.TableCache
     monkeypatch.setattr(identities, "TableCache",
                         lambda max_n: stores.append(real(max_n)) or stores[-1])
 
     def rows(m_set, q_set):
+        stores.clear()
         run_suite("stirling-theorem", Grid(4, (1, 2), m_set, q_set))
-        return [k[1:] for k in stores[-1]._store if k[0] == "falling-row"]
+        assert len(stores) == len(q_set)
+        return [[k[1:] for k in store._store if k[0] == "falling-row"] for store in stores]
 
     expected = {(n, j) for n in range(5) for j in range(n + 1)}
     for m_set in ((1,), (1, 2, 3)):
         for q_set in (SMALL.q_set[:1], SMALL.q_set):
-            keys = rows(m_set, q_set)
-            assert len(keys) == len(expected) and set(keys) == expected, (m_set, q_set)
+            for keys in rows(m_set, q_set):
+                assert len(keys) == len(expected) and set(keys) == expected, (m_set, q_set)
 
 
 # q = a/b with |a|, b <= 20, on both sides of (0, 1), never a root of unity
